@@ -1,15 +1,12 @@
-//! Criterion bench: compound-rate query cost through the memoized path
-//! vs the naive oracle, at catalog sizes 10 / 100 / 1000 (the PR-6
-//! tentpole claim: scope queries are amortized O(1) and exact).
+//! Criterion bench: compound-rate query cost through the active-member
+//! fast path vs the naive oracle, at catalog sizes 10 / 100 / 1000.
 //!
-//! Three cases per scope:
+//! Two cases per scope:
 //!
-//! * `*_hit` — repeated query at a fixed `now`: pure memo hit, must be
-//!   flat across catalog sizes;
-//! * `*_scan` — `now` advances every iteration, forcing a fresh scan
-//!   over the active members: the miss path the memo amortizes;
+//! * `*_scan` — `now` advances every iteration: a scan over the active
+//!   members off the dense per-function aggregates;
 //! * `uncached_*` — the naive O(functions-in-scope) oracle
-//!   ([`HistoryRecorder::rate_uncached`]) the cached path must match
+//!   ([`HistoryRecorder::rate_uncached`]) the fast path must match
 //!   bit-for-bit.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -42,13 +39,6 @@ fn bench_history_rate(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("function", n), &n, |b, _| {
             b.iter(|| black_box(rec.rate(black_box(ShareScope::Function(FunctionId::new(3))), now)))
-        });
-
-        group.bench_with_input(BenchmarkId::new("lang_hit", n), &n, |b, _| {
-            b.iter(|| black_box(rec.rate(black_box(lang), now)))
-        });
-        group.bench_with_input(BenchmarkId::new("global_hit", n), &n, |b, _| {
-            b.iter(|| black_box(rec.rate(black_box(ShareScope::Global), now)))
         });
 
         group.bench_with_input(BenchmarkId::new("lang_scan", n), &n, |b, _| {

@@ -6,16 +6,18 @@
 //!
 //! Schema `/4` additions: every policy row carries the History
 //! Recorder's query counters (`history`: rate queries, compound-scope
-//! queries, memo hits, member scans, fitted terms — all zero for
-//! policies without a recorder), and the scaling section gains a
+//! queries, memo hits — always 0 since the scope memo was removed —
+//! member scans, fitted terms; all zero for policies without a
+//! recorder), and the scaling section gains a
 //! `streaming` point that re-runs RainbowCake on a trace scaled past
 //! 10^8 invocations to prove the streaming pipeline's memory stays
 //! flat (bounded by channel depth, not trace length) at full speed.
 //!
 //! Schema `/5` additions: the artifact records the timer mode
-//! (`timer_mode`: `"lazy"` — the default single-terminal-timer ladder
-//! schedule — or `"eager"` under `--eager-timers`, the per-rung chain),
-//! and every policy row carries `events` (total engine events
+//! (`timer_mode`: always `"lazy"`, the engine's one ladder schedule of a
+//! single terminal timer per idle period; the eager per-rung chain that
+//! once wrote `"eager"` survives only as a unit-test oracle in
+//! `rainbowcake-sim`), and every policy row carries `events` (total engine events
 //! dispatched, counted by the shards with zero clock reads) and
 //! `events_per_invocation` — the timer-pressure figure the lazy
 //! downgrade path exists to shrink.
@@ -40,17 +42,15 @@
 //!   filtered runs print numbers but skip the artifact write so the
 //!   `BENCH_<seq>.json` series stays full-suite comparable;
 //! * `--profile` — per-event-kind dispatch breakdown through the
-//!   profiled materialized pipeline (skips the artifact write);
-//! * `--eager-timers` — run with the eager per-rung downgrade timer
-//!   chain instead of the default lazy terminal-timer schedule; the
-//!   reports are byte-identical, only event counts and throughput move
-//!   (`--smoke` asserts the cross-mode identity explicitly);
+//!   profiled entry point on the materialized pipeline (skips the
+//!   artifact write);
 //! * `--identity` — assert the sharded streaming report is
 //!   byte-identical to the sequential materialized pipeline on the full
 //!   configured trace, then exit;
-//! * `--smoke` — the CI guard: a one-hour trace through every dispatch
-//!   mode and both cluster pipelines with byte-identity asserts, then
-//!   per-policy throughput floors against the committed artifact.
+//! * `--smoke` — the CI guard: a one-hour trace through the parallel
+//!   executor, the profiled entry point and both cluster pipelines with
+//!   byte-identity asserts, then per-policy throughput floors against
+//!   the committed artifact.
 //!   With `--hours H` (H > 1) it becomes the long-stream smoke
 //!   instead: stream an H-hour trace through RainbowCake and assert
 //!   the process RSS stays flat — the guard for the streaming
@@ -75,7 +75,7 @@ use rainbowcake_metrics::RunReport;
 use rainbowcake_sim::cluster::{
     route_trace, run_cluster, run_cluster_streaming, LocalitySharingLoad, ShardedRun,
 };
-use rainbowcake_sim::{run, run_with_profile, EngineProfile, SimConfig, TimerMode};
+use rainbowcake_sim::{run, run_streaming_with_profile, EngineProfile, SimConfig};
 use rainbowcake_trace::azure::{azure_like_stream, azure_like_trace, AzureConfig, AzureStream};
 use rainbowcake_trace::Trace;
 use rainbowcake_workloads::paper_catalog;
@@ -167,7 +167,7 @@ fn run_policy(
     }
 }
 
-/// Like [`run_policy`], but through the profiled dispatch loop; the
+/// Like [`run_policy`], but through the profiled entry point; the
 /// per-worker profiles are merged into one suite-wide breakdown.
 fn run_policy_profiled(
     catalog: &Catalog,
@@ -181,7 +181,13 @@ fn run_policy_profiled(
         .map(|sub| {
             move || {
                 let mut policy = make_policy(name, catalog);
-                run_with_profile(catalog, policy.as_mut(), sub, config)
+                run_streaming_with_profile(
+                    catalog,
+                    policy.as_mut(),
+                    sub.iter().copied(),
+                    sub.horizon(),
+                    config,
+                )
             }
         })
         .collect();
@@ -294,7 +300,6 @@ fn perf_smoke(shards: usize) {
     );
     let config = SimConfig {
         streaming_metrics: true,
-        timer_mode: timer_mode_flag(),
         ..SimConfig::default()
     };
     let mut violations = Vec::new();
@@ -346,7 +351,6 @@ fn long_stream_smoke(hours: u64, shards: usize) {
     );
     let config = SimConfig {
         streaming_metrics: true,
-        timer_mode: timer_mode_flag(),
         ..SimConfig::default()
     };
     let before_kb = peak_rss_kb();
@@ -383,12 +387,7 @@ fn smoke(profiling: bool, shards: usize) {
     let subs = route_trace(&catalog, &trace, DEFAULT_SHARDS, &mut router);
     let config = SimConfig {
         streaming_metrics: true,
-        timer_mode: timer_mode_flag(),
         ..SimConfig::default()
-    };
-    let per_event = SimConfig {
-        dispatch: rainbowcake_sim::DispatchMode::PerEvent,
-        ..config.clone()
     };
     for name in BASELINE_NAMES {
         let sequential: Vec<String> = run_policy(&catalog, name, &subs, &config, 0)
@@ -405,14 +404,6 @@ fn smoke(profiling: bool, shards: usize) {
                 "{name}: parallel ({threads} threads) diverged from sequential"
             );
         }
-        let per_event_json: Vec<String> = run_policy(&catalog, name, &subs, &per_event, 0)
-            .iter()
-            .map(|r| r.to_json())
-            .collect();
-        assert_eq!(
-            per_event_json, sequential,
-            "{name}: per-event dispatch diverged from tick-batched"
-        );
         let (reports, profile) = run_policy_profiled(&catalog, name, &subs, &config, 2);
         let completed: usize = reports.iter().map(|r| r.invocations()).sum();
         assert!(completed > 0, "{name} completed nothing");
@@ -439,38 +430,10 @@ fn smoke(profiling: bool, shards: usize) {
                 "{name}: {n}-shard streaming cluster diverged from sequential"
             );
         }
-        // The lazy terminal-timer schedule and the eager per-rung chain
-        // must agree byte-for-byte through the very pipeline the stress
-        // artifact measures — and lazy must never dispatch more events.
-        let lazy_cfg = SimConfig {
-            timer_mode: TimerMode::Lazy,
-            ..config.clone()
-        };
-        let eager_cfg = SimConfig {
-            timer_mode: TimerMode::Eager,
-            ..config.clone()
-        };
-        let lazy_run = run_policy_sharded(&catalog, name, &stream, shards, &lazy_cfg);
-        let eager_run = run_policy_sharded(&catalog, name, &stream, shards, &eager_cfg);
-        assert_eq!(
-            lazy_run.report.to_json(),
-            eager_run.report.to_json(),
-            "{name}: lazy timer schedule diverged from the eager chain"
-        );
-        let (lazy_epi, eager_epi) = (
-            lazy_run.profile().events_per_invocation(),
-            eager_run.profile().events_per_invocation(),
-        );
-        assert!(
-            lazy_run.profile().total_events() <= eager_run.profile().total_events(),
-            "{name}: lazy timers dispatched more events ({} > {})",
-            lazy_run.profile().total_events(),
-            eager_run.profile().total_events(),
-        );
         println!(
-            "smoke {name}: {completed} invocations; parallel, per-event, profiled \
-             and sharded ({counts:?}) dispatch all byte-identical; \
-             lazy {lazy_epi:.2} vs eager {eager_epi:.2} events/invocation"
+            "smoke {name}: {completed} invocations; parallel, profiled and sharded \
+             ({counts:?}) runs all byte-identical; {:.2} events/invocation",
+            profile.events_per_invocation()
         );
         if profiling {
             print_profile(name, &profile);
@@ -485,7 +448,6 @@ fn smoke(profiling: bool, shards: usize) {
 fn identity(catalog: &Catalog, selected: &[&str], stream: &AzureStream, shards: usize) {
     let config = SimConfig {
         streaming_metrics: true,
-        timer_mode: timer_mode_flag(),
         ..SimConfig::default()
     };
     for name in selected {
@@ -544,17 +506,6 @@ fn policy_filter() -> Vec<&'static str> {
             .into_iter()
             .filter(|n| wanted.contains(n))
             .collect()
-    }
-}
-
-/// The timer mode selected on the command line: lazy (the default
-/// single-terminal-timer ladder schedule) or the eager per-rung chain
-/// under `--eager-timers`.
-fn timer_mode_flag() -> TimerMode {
-    if std::env::args().any(|a| a == "--eager-timers") {
-        TimerMode::Eager
-    } else {
-        TimerMode::Lazy
     }
 }
 
@@ -730,18 +681,14 @@ fn main() {
         identity(&catalog, &selected, &stream, shards);
         return;
     }
-    let timers = timer_mode_flag();
-    println!(
-        "stress: {total} invocations, streaming across {shards} shards ({timers:?} timers) ..."
-    );
+    println!("stress: {total} invocations, streaming across {shards} shards ...");
     let config = SimConfig {
         streaming_metrics: true,
-        timer_mode: timers,
         ..SimConfig::default()
     };
 
     if profiling {
-        // The profiled dispatch loop runs through the materialized
+        // The profiled entry point runs through the materialized
         // pipeline (it is an investigation tool, never the artifact).
         let trace = Trace::from_arrivals(stream.horizon(), stream.iter().collect());
         let mut router = LocalitySharingLoad::default();
@@ -789,9 +736,8 @@ fn main() {
         if row.history.queries > 0 {
             let h = &row.history;
             println!(
-                "    history: {} rate queries ({} compound; {} memo hits, {} scans \
-                 fitting {} terms)",
-                h.queries, h.scope_queries, h.scope_hits, h.scans, h.terms_computed
+                "    history: {} rate queries ({} compound; {} scans fitting {} terms)",
+                h.queries, h.scope_queries, h.scans, h.terms_computed
             );
         }
         rows.push(row);
@@ -892,15 +838,11 @@ fn main() {
     let row_json: Vec<String> = rows.iter().map(|r| r.to_json()).collect();
     let json = format!(
         "{{\"schema\":\"rainbowcake-stress/5\",\"shards\":{shards},\
-         \"hours\":{},\"rate_scale\":{},\"timer_mode\":\"{}\",\
+         \"hours\":{},\"rate_scale\":{},\"timer_mode\":\"lazy\",\
          \"invocations\":{total},\"router\":\"Locality+Sharing+Load\",\
          \"peak_rss_kb\":{}{scaling},\"policies\":[{}]}}\n",
         azure.hours,
         fmt_f64(azure.rate_scale),
-        match timers {
-            TimerMode::Lazy => "lazy",
-            TimerMode::Eager => "eager",
-        },
         peak_rss_kb(),
         row_json.join(","),
     );

@@ -22,27 +22,22 @@
 //! startup latency and idle memory footprint per layer (Eq. 5), which
 //! the keep-alive algorithm needs for the β bound (Eq. 6).
 //!
-//! # Compound-rate queries are amortized O(1), and exact
+//! # Compound-rate queries scan only active members, and stay exact
 //!
 //! Eq. 2 makes every `Lang`/`Bare` TTL decision a sum over a sharing
 //! set that can span the whole catalog, and RainbowCake issues those
-//! on every idle transition and downgrade. Three cooperating
-//! mechanisms keep the hot path off the naive O(functions) scan while
-//! returning bit-identical values (see DESIGN.md §11):
+//! on every idle transition and downgrade. Two cooperating mechanisms
+//! keep the hot path off the naive O(functions) scan while returning
+//! bit-identical values (see DESIGN.md §11):
 //!
-//! * **Generation-stamped scope memoization** — each `Language` scope
-//!   and `Global` carries a `(now, generation) → rate` cell,
-//!   invalidated only when a member records an arrival or `now`
-//!   advances. Tick-batched dispatch holds `now` constant across a
-//!   batch, so repeated queries in a tick collapse to one scan.
 //! * **Incremental per-function aggregates** — `record_arrival`
 //!   maintains dense `win_len` / `win_oldest` mirrors of each ring, so
 //!   a term is two flat-array loads and one division instead of a
-//!   pointer chase through per-function ring state. (An earlier draft
-//!   also memoized individual terms in per-function cells; profiling
-//!   showed scope queries land at distinct simulated ticks on real
-//!   traces, so the cells never hit and their writes were pure
-//!   overhead — the dense recompute is faster.)
+//!   pointer chase through per-function ring state. (Earlier drafts
+//!   also memoized individual terms and whole-scope sums; profiling
+//!   showed compound queries land at distinct simulated ticks on real
+//!   traces — about one memo hit per hundred thousand queries — so the
+//!   memo writes were pure overhead and both caches were removed.)
 //! * **Active-member lists** — a function contributes exactly `+0.0`
 //!   until its window holds two arrivals, and window length never
 //!   shrinks, so scans iterate sorted lists of ever-seen members
@@ -51,7 +46,7 @@
 //!   and IEEE-754 gives `x + 0.0 = x` for every non-negative `x`.
 //!
 //! The naive scan survives as [`HistoryRecorder::rate_uncached`]; debug
-//! builds assert bit-equality on every cached query, and a proptest
+//! builds assert bit-equality on every fast-path query, and a proptest
 //! drives arbitrary interleavings through both paths.
 
 use std::cell::Cell;
@@ -205,12 +200,14 @@ pub struct HistoryStats {
     /// Total `rate` queries (all scopes).
     pub queries: u64,
     /// Queries against a `Language` or `Global` scope (the compound
-    /// sums the memoization exists for).
+    /// sums of Eq. 2).
     pub scope_queries: u64,
-    /// Scope queries answered from the `(now, generation)` memo cell
-    /// without touching any member.
+    /// Always 0. It counted hits of a per-scope memo that was removed
+    /// for hitting about once per hundred thousand compound queries; the
+    /// field stays so readers of existing reports and artifacts keep it.
     pub scope_hits: u64,
-    /// Member scans performed (scope queries that missed the memo).
+    /// Member scans performed: one per scope query, so always equal to
+    /// `scope_queries`.
     pub scans: u64,
     /// Fitted rate terms actually computed (one division each): active
     /// members visited by scans plus nonzero `Function`-scope answers.
@@ -226,25 +223,6 @@ impl HistoryStats {
         self.scans += other.scans;
         self.terms_computed += other.terms_computed;
     }
-}
-
-/// Memo cell for one sharing scope: the compound rate last computed at
-/// `now_us` under arrival-generation `gen`.
-#[derive(Debug, Clone, Copy)]
-struct ScopeCache {
-    now_us: u64,
-    gen: u64,
-    rate: f64,
-}
-
-impl ScopeCache {
-    /// Never matches: generations count up from 0 and `now` stamps are
-    /// compared alongside, so `u64::MAX` marks "nothing cached yet".
-    const EMPTY: ScopeCache = ScopeCache {
-        now_us: u64::MAX,
-        gen: u64::MAX,
-        rate: 0.0,
-    };
 }
 
 /// Sharing-aware invocation history recorder (§5.1).
@@ -293,20 +271,13 @@ pub struct HistoryRecorder {
     win_oldest: Vec<u64>,
     /// `Language::index()` per function.
     lang_of: Vec<u8>,
-    /// Arrival generation per function / per language scope / global:
-    /// bumped on every `record_arrival`, stamped into memo cells.
-    fn_gen: Vec<u64>,
-    lang_gen: [u64; 3],
-    global_gen: u64,
     /// Members with ≥ 2 windowed arrivals (nonzero fitted rate),
     /// ascending — the only functions a scan must visit.
     lang_active: [Vec<u32>; 3],
     global_active: Vec<u32>,
-    /// Scope memo cells. `Cell` keeps `rate` an `&self` query; the
+    /// Query counters. `Cell` keeps `rate` an `&self` query; the
     /// recorder is never shared across threads (each shard builds its
     /// own policy).
-    lang_cache: [Cell<ScopeCache>; 3],
-    global_cache: Cell<ScopeCache>,
     stats: StatCells,
 }
 
@@ -314,8 +285,6 @@ pub struct HistoryRecorder {
 struct StatCells {
     queries: Cell<u64>,
     scope_queries: Cell<u64>,
-    scope_hits: Cell<u64>,
-    scans: Cell<u64>,
     terms_computed: Cell<u64>,
 }
 
@@ -346,17 +315,8 @@ impl HistoryRecorder {
             win_len: vec![0; n],
             win_oldest: vec![0; n],
             lang_of,
-            fn_gen: vec![0; n],
-            lang_gen: [0; 3],
-            global_gen: 0,
             lang_active: Default::default(),
             global_active: Vec::new(),
-            lang_cache: [
-                Cell::new(ScopeCache::EMPTY),
-                Cell::new(ScopeCache::EMPTY),
-                Cell::new(ScopeCache::EMPTY),
-            ],
-            global_cache: Cell::new(ScopeCache::EMPTY),
             stats: StatCells::default(),
         })
     }
@@ -381,8 +341,8 @@ impl HistoryRecorder {
         HistoryStats {
             queries: self.stats.queries.get(),
             scope_queries: self.stats.scope_queries.get(),
-            scope_hits: self.stats.scope_hits.get(),
-            scans: self.stats.scans.get(),
+            scope_hits: 0,
+            scans: self.stats.scope_queries.get(),
             terms_computed: self.stats.terms_computed.get(),
         }
     }
@@ -412,9 +372,6 @@ impl HistoryRecorder {
             }
         }
         self.win_oldest[i] = self.ring[base + self.ring_head[i] as usize];
-        self.fn_gen[i] += 1;
-        self.lang_gen[self.lang_of[i] as usize] += 1;
-        self.global_gen += 1;
     }
 
     /// Marks function `i` as having a nonzero fitted rate from now on,
@@ -469,30 +426,17 @@ impl HistoryRecorder {
         len as f64 / (span_us as f64 / 1e6)
     }
 
-    /// Answers one compound-scope query through its memo cell, scanning
-    /// only the active members on a miss. `group_len` is the scope's
-    /// static member count: `f64::sum` folds from `-0.0`, so an empty
-    /// group sums to `-0.0` while a non-empty group of all-zero terms
-    /// sums to `+0.0` — the accumulator seed reproduces both (adding
-    /// any term to either zero gives the same bits thereafter).
-    fn scope_rate(
-        &self,
-        cache: &Cell<ScopeCache>,
-        gen: u64,
-        members: &[u32],
-        group_len: usize,
-        now: Instant,
-    ) -> f64 {
+    /// Answers one compound-scope query by scanning only the active
+    /// members. `group_len` is the scope's static member count:
+    /// `f64::sum` folds from `-0.0`, so an empty group sums to `-0.0`
+    /// while a non-empty group of all-zero terms sums to `+0.0` — the
+    /// accumulator seed reproduces both (adding any term to either zero
+    /// gives the same bits thereafter).
+    fn scope_rate(&self, members: &[u32], group_len: usize, now: Instant) -> f64 {
         self.stats
             .scope_queries
             .set(self.stats.scope_queries.get() + 1);
         let now_us = now.as_micros();
-        let cached = cache.get();
-        if cached.now_us == now_us && cached.gen == gen {
-            self.stats.scope_hits.set(self.stats.scope_hits.get() + 1);
-            return cached.rate;
-        }
-        self.stats.scans.set(self.stats.scans.get() + 1);
         // Every active member has >= 2 arrivals, so the scan performs
         // exactly `members.len()` term fits — counted once out here so
         // the inner loop stays free of `Cell` traffic.
@@ -503,11 +447,6 @@ impl HistoryRecorder {
         for &i in members {
             sum += self.term(i as usize, now_us);
         }
-        cache.set(ScopeCache {
-            now_us,
-            gen,
-            rate: sum,
-        });
         sum
     }
 
@@ -524,41 +463,29 @@ impl HistoryRecorder {
     }
 
     /// The compound per-second rate `λ^(k)` for a sharing scope as of
-    /// `now` (Eq. 2). Amortized O(1): see the module docs for the
-    /// memoization scheme and the bit-exactness argument.
+    /// `now` (Eq. 2): one division per active member of the scope — see
+    /// the module docs for the bit-exactness argument.
     pub fn rate(&self, scope: ShareScope, now: Instant) -> f64 {
         self.stats.queries.set(self.stats.queries.get() + 1);
         let rate = match scope {
             ShareScope::Function(f) => self.function_rate(f, now),
             ShareScope::Language(l) => {
                 let li = l.index();
-                self.scope_rate(
-                    &self.lang_cache[li],
-                    self.lang_gen[li],
-                    &self.lang_active[li],
-                    self.lang_groups[li].len(),
-                    now,
-                )
+                self.scope_rate(&self.lang_active[li], self.lang_groups[li].len(), now)
             }
-            ShareScope::Global => self.scope_rate(
-                &self.global_cache,
-                self.global_gen,
-                &self.global_active,
-                self.functions.len(),
-                now,
-            ),
+            ShareScope::Global => self.scope_rate(&self.global_active, self.functions.len(), now),
         };
         debug_assert!(
             rate.to_bits() == self.rate_uncached(scope, now).to_bits(),
-            "cached rate diverged from naive scan for {scope:?} at {now:?}: \
-             cached {rate} vs naive {}",
+            "fast-path rate diverged from naive scan for {scope:?} at {now:?}: \
+             fast {rate} vs naive {}",
             self.rate_uncached(scope, now),
         );
         rate
     }
 
     /// The naive O(functions-in-scope) scan over the arrival rings —
-    /// the oracle the cached path must match bit-for-bit. Kept public
+    /// the oracle the fast path must match bit-for-bit. Kept public
     /// so property tests can drive both paths side by side.
     pub fn rate_uncached(&self, scope: ShareScope, now: Instant) -> f64 {
         match scope {
@@ -837,46 +764,6 @@ mod tests {
                 assert_eq!(cached.to_bits(), naive.to_bits(), "{scope:?} at {t}");
             }
         }
-    }
-
-    #[test]
-    fn scope_memoization_hits_within_a_tick() {
-        let (_, mut r) = setup();
-        for i in 0..6u64 {
-            r.record_arrival(fid(0), at(i));
-            r.record_arrival(fid(1), at(i));
-        }
-        let now = at(10);
-        let scope = ShareScope::Language(Language::Python);
-        let first = r.rate(scope, now);
-        let before = r.stats();
-        let second = r.rate(scope, now);
-        let after = r.stats();
-        assert_eq!(first.to_bits(), second.to_bits());
-        assert_eq!(after.scope_hits, before.scope_hits + 1);
-        assert_eq!(after.scans, before.scans);
-        // A new arrival invalidates the memo; the next query scans again.
-        r.record_arrival(fid(0), now);
-        r.rate(scope, now);
-        assert_eq!(r.stats().scans, after.scans + 1);
-    }
-
-    #[test]
-    fn memo_hits_compute_no_terms() {
-        let (_, mut r) = setup();
-        for i in 0..6u64 {
-            r.record_arrival(fid(0), at(i));
-            r.record_arrival(fid(1), at(i));
-            r.record_arrival(fid(2), at(i));
-        }
-        let now = at(10);
-        // A Global scan fits every active member once...
-        r.rate(ShareScope::Global, now);
-        let before = r.stats().terms_computed;
-        // ...and answering the same scope again at the same tick is a
-        // pure memo hit: zero additional term fits.
-        r.rate(ShareScope::Global, now);
-        assert_eq!(r.stats().terms_computed, before);
     }
 
     #[test]

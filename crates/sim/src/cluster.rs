@@ -417,9 +417,9 @@ pub struct ShardedRun {
     /// recorder.
     pub shard_history: Vec<HistoryStats>,
     /// Per-shard counts-only engine profiles
-    /// ([`crate::engine::run_streaming_counted`]): event counts per
-    /// kind and completed invocations, with handler timing left zero so
-    /// the shard hot loops stay free of clock reads.
+    /// ([`EngineProfile::counting`]): event counts per kind and
+    /// completed invocations, with handler timing left zero so the
+    /// shard hot loops stay free of clock reads.
     pub shard_profiles: Vec<EngineProfile>,
 }
 
@@ -447,9 +447,9 @@ impl ShardedRun {
 /// Runs a cluster as a streaming sharded pipeline: the calling thread
 /// routes arrivals online (exactly like [`route_trace`]) and feeds each
 /// worker's subsequence over a bounded channel to a dedicated OS thread
-/// running that worker's engine via [`run_streaming_counted`] (the
-/// counts-only profiled loop: identical behaviour to plain streaming,
-/// plus per-kind event counts with no clock reads).
+/// running that worker's engine on a counts-only profile (identical
+/// behaviour to [`run`], plus per-kind event counts with no clock
+/// reads).
 ///
 /// Compared to [`run_cluster`] this (a) executes the workers
 /// concurrently and (b) never materializes per-worker arrival vectors —

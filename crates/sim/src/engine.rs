@@ -9,6 +9,11 @@
 //! accounting — while every *decision* (TTLs, downgrade vs. terminate,
 //! reuse eligibility, victims, pre-warm targets) is delegated to the
 //! policy, mirroring the OpenWhisk split described in §6.
+//!
+//! There is one dispatch path: arrivals are fed lazily from a sorted
+//! stream, the timer wheel is drained a tick at a time, and each tick is
+//! dispatched in grouped runs of same-kind events, with ladder
+//! keep-alive schedules settled lazily (DESIGN.md §7, §9, §12).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -31,7 +36,7 @@ use rainbowcake_trace::samplers::{lognormal_from_params, lognormal_params};
 use rainbowcake_trace::{Arrival, Trace};
 
 use crate::concurrency::transition_overhead;
-use crate::config::{DispatchMode, SimConfig, TimerMode};
+use crate::config::SimConfig;
 use crate::container::{AssignedInvocation, Container, LadderState};
 use crate::event::{Event, EventKind, EventQueue};
 use crate::pool::Pool;
@@ -62,7 +67,9 @@ enum Placement {
 /// Runs `policy` against `trace` and returns the measured report.
 ///
 /// The run is fully deterministic given the catalog, trace, config, and
-/// the policy's own state.
+/// the policy's own state. The engine pulls arrivals from `trace.iter()`
+/// as the clock reaches them, exactly as [`run_streaming_with_profile`]
+/// pulls them from any sorted stream.
 pub fn run(
     catalog: &Catalog,
     policy: &mut dyn Policy,
@@ -70,39 +77,23 @@ pub fn run(
     config: &SimConfig,
 ) -> RunReport {
     let mut engine = Engine::new(catalog, policy, config, trace.horizon());
-    for arrival in trace.iter() {
-        engine.events.push_arrival(arrival.time, arrival.function);
-    }
-    engine.run_to_completion();
+    engine.run_loop(trace.iter().copied(), None);
     engine.finish()
 }
 
 /// Like [`run`], but consumes arrivals lazily from an iterator instead
-/// of a materialized [`Trace`], keeping the engine's memory footprint
-/// independent of trace length. `arrivals` must be sorted by
-/// `(time, function)` — the order [`Trace::from_arrivals`] produces —
+/// of a materialized [`Trace`] — keeping the engine's memory footprint
+/// independent of trace length — and also measures a per-event-kind
+/// time/count breakdown of the dispatch loop. `arrivals` must be sorted
+/// by `(time, function)` — the order [`Trace::from_arrivals`] produces —
 /// and is clipped to `horizon` exactly as `from_arrivals` clips.
 ///
-/// The result is **byte-identical** to materializing the same arrivals
+/// The report is **byte-identical** to materializing the same arrivals
 /// into a `Trace` and calling [`run`]: arrivals draw sequence numbers
 /// from the queue's low band (see `EventQueue::push_arrival`), so at
 /// any tick they sort before every runtime event no matter how late
-/// they were fed, and the feed loop guarantees every arrival is in the
-/// queue before the engine dispatches past its timestamp.
-pub fn run_streaming(
-    catalog: &Catalog,
-    policy: &mut dyn Policy,
-    arrivals: impl Iterator<Item = Arrival>,
-    horizon: Micros,
-    config: &SimConfig,
-) -> RunReport {
-    let mut engine = Engine::new(catalog, policy, config, horizon);
-    engine.run_streaming_loop(arrivals, None);
-    engine.finish()
-}
-
-/// [`run_streaming`] with the per-event-kind dispatch breakdown of
-/// [`run_with_profile`] (tick-batched dispatch, like that entry point).
+/// they were fed. Timing adds one clock read per grouped run of
+/// same-kind events.
 pub fn run_streaming_with_profile(
     catalog: &Catalog,
     policy: &mut dyn Policy,
@@ -110,54 +101,75 @@ pub fn run_streaming_with_profile(
     horizon: Micros,
     config: &SimConfig,
 ) -> (RunReport, EngineProfile) {
-    run_streaming_profiled(
-        catalog,
-        policy,
-        arrivals,
-        horizon,
-        config,
-        EngineProfile::default(),
-    )
+    let engine = Engine::new(catalog, policy, config, horizon);
+    engine.run_profiled(arrivals, EngineProfile::default())
 }
 
 /// [`run_streaming_with_profile`] with a counts-only profile: event
 /// counts and completed invocations are tracked (one counter bump per
-/// grouped run, or per event in per-event dispatch) but handler timing
-/// is skipped, so the dispatch hot loop stays free of clock reads and
-/// the configured [`DispatchMode`] is honoured. This is how the sharded
-/// cluster pipeline surfaces events-per-invocation without distorting
-/// the throughput it measures.
-pub fn run_streaming_counted(
+/// grouped run) but handler timing is skipped, so the dispatch hot loop
+/// stays free of clock reads. This is how the sharded cluster pipeline
+/// surfaces events-per-invocation without distorting the throughput it
+/// measures.
+pub(crate) fn run_streaming_counted(
     catalog: &Catalog,
     policy: &mut dyn Policy,
     arrivals: impl Iterator<Item = Arrival>,
     horizon: Micros,
     config: &SimConfig,
 ) -> (RunReport, EngineProfile) {
-    run_streaming_profiled(
-        catalog,
-        policy,
-        arrivals,
-        horizon,
-        config,
-        EngineProfile::counting(),
-    )
+    let engine = Engine::new(catalog, policy, config, horizon);
+    engine.run_profiled(arrivals, EngineProfile::counting())
 }
 
-fn run_streaming_profiled(
+/// The reference behaviours the engine is pinned against, selectable
+/// only from this crate's unit tests. Each is a second implementation
+/// of the production path's semantics; the oracle tests require every
+/// combination to reproduce the production report bytes.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Oracle {
+    /// Keep the future-event list on the `BinaryHeap` reference backend
+    /// instead of the timer wheel.
+    pub heap_queue: bool,
+    /// Pop and dispatch one event at a time instead of whole ticks.
+    pub per_event: bool,
+    /// Arm one `IdleTimeout` per ladder rung, re-armed as each fires
+    /// (the classic downgrade chain), instead of one terminal timer per
+    /// idle period.
+    pub eager_timers: bool,
+}
+
+#[cfg(test)]
+impl Oracle {
+    /// All eight combinations of the three references, the production
+    /// path (all off) first.
+    pub(crate) fn all() -> impl Iterator<Item = Oracle> {
+        (0..8u8).map(|bits| Oracle {
+            heap_queue: bits & 1 != 0,
+            per_event: bits & 2 != 0,
+            eager_timers: bits & 4 != 0,
+        })
+    }
+}
+
+/// [`run`] on the reference behaviours `oracle` selects, with a
+/// counts-only profile (one bump per popped event under per-event
+/// dispatch).
+#[cfg(test)]
+pub(crate) fn run_oracle(
     catalog: &Catalog,
     policy: &mut dyn Policy,
-    arrivals: impl Iterator<Item = Arrival>,
-    horizon: Micros,
+    trace: &Trace,
     config: &SimConfig,
-    mut profile: EngineProfile,
+    oracle: Oracle,
 ) -> (RunReport, EngineProfile) {
-    let mut engine = Engine::new(catalog, policy, config, horizon);
-    engine.run_streaming_loop(arrivals, Some(&mut profile));
-    profile.history = engine.policy.history_stats().unwrap_or_default();
-    let report = engine.finish();
-    profile.invocations = report.invocations() as u64;
-    (report, profile)
+    let mut engine = Engine::new(catalog, policy, config, trace.horizon());
+    engine.oracle = oracle;
+    if oracle.heap_queue {
+        engine.events = EventQueue::reference_heap();
+    }
+    engine.run_profiled(trace.iter().copied(), EngineProfile::counting())
 }
 
 /// Index of an event kind in [`EngineProfile`]'s arrays.
@@ -173,8 +185,8 @@ fn kind_rank(kind: &EventKind) -> usize {
 }
 
 /// Per-event-kind dispatch statistics from a profiled run
-/// ([`run_with_profile`]): how many events of each kind were handled
-/// and how much wall-clock time their handlers took.
+/// ([`run_streaming_with_profile`]): how many events of each kind were
+/// handled and how much wall-clock time their handlers took.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineProfile {
     /// Events handled, indexed like [`EngineProfile::KIND_NAMES`].
@@ -188,7 +200,7 @@ pub struct EngineProfile {
     /// ([`Policy::history_stats`]); zeroed otherwise.
     pub history: HistoryStats,
     /// When set, the dispatch loop bumps `counts` but never reads the
-    /// clock, leaving `nanos` zero ([`run_streaming_counted`]).
+    /// clock, leaving `nanos` zero (the sharded cluster's shard runs).
     pub counting: bool,
 }
 
@@ -238,28 +250,6 @@ impl EngineProfile {
     }
 }
 
-/// Like [`run`], but also measures a per-event-kind time/count
-/// breakdown of the dispatch loop. The simulation result is identical
-/// to [`run`]'s; timing adds one clock read per grouped run of
-/// same-kind events.
-pub fn run_with_profile(
-    catalog: &Catalog,
-    policy: &mut dyn Policy,
-    trace: &Trace,
-    config: &SimConfig,
-) -> (RunReport, EngineProfile) {
-    let mut engine = Engine::new(catalog, policy, config, trace.horizon());
-    for arrival in trace.iter() {
-        engine.events.push_arrival(arrival.time, arrival.function);
-    }
-    let mut profile = EngineProfile::default();
-    engine.run_tick_batched(Some(&mut profile));
-    profile.history = engine.policy.history_stats().unwrap_or_default();
-    let report = engine.finish();
-    profile.invocations = report.invocations() as u64;
-    (report, profile)
-}
-
 struct Engine<'a> {
     catalog: &'a Catalog,
     config: &'a SimConfig,
@@ -277,13 +267,12 @@ struct Engine<'a> {
     settle_seq: u64,
     /// Earliest `LadderWake` currently in the event queue, if any —
     /// wakes keep the admission queue draining at ladder boundaries
-    /// while memory pressure holds invocations back (lazy mode only).
+    /// while memory pressure holds invocations back.
     wake_armed: Option<Instant>,
     pending: VecDeque<QueuedInvocation>,
-    /// Arrival events currently in the queue during a streaming run.
-    /// The feed loop keeps this positive while unfed arrivals remain,
-    /// so the queue head always bounds the next arrival's time (see
-    /// `run_streaming_loop`). Up-front runs don't maintain it.
+    /// Arrival events currently in the queue. The feed loop keeps this
+    /// positive while unfed arrivals remain, so the queue head always
+    /// bounds the next arrival's time (see `run_loop`).
     arrivals_in_queue: usize,
     horizon: Instant,
     first_arrival: Vec<Option<Instant>>,
@@ -302,6 +291,9 @@ struct Engine<'a> {
     // case, so the two users never nest.
     scratch_views: Vec<ContainerView>,
     scratch_options: Vec<(Micros, u8, Placement)>,
+    /// Reference behaviours switched on by the oracle tests.
+    #[cfg(test)]
+    oracle: Oracle,
 }
 
 impl<'a> Engine<'a> {
@@ -330,7 +322,7 @@ impl<'a> Engine<'a> {
             config,
             policy,
             pool: Pool::new(config.memory_capacity),
-            events: EventQueue::with_backend(config.event_queue),
+            events: EventQueue::new(),
             rng: StdRng::seed_from_u64(config.seed),
             metrics: if config.streaming_metrics {
                 MetricsCollector::streaming()
@@ -349,6 +341,8 @@ impl<'a> Engine<'a> {
             now: Instant::ZERO,
             scratch_views: Vec::new(),
             scratch_options: Vec::new(),
+            #[cfg(test)]
+            oracle: Oracle::default(),
         }
     }
 
@@ -359,56 +353,77 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run_to_completion(&mut self) {
-        match self.config.dispatch {
-            DispatchMode::TickBatched => self.run_tick_batched(None),
-            DispatchMode::PerEvent => self.run_per_event(),
-        }
+    /// Runs the dispatch loop to completion with `profile`, then fills
+    /// in the profile's history counters and completed invocations.
+    fn run_profiled(
+        mut self,
+        arrivals: impl Iterator<Item = Arrival>,
+        mut profile: EngineProfile,
+    ) -> (RunReport, EngineProfile) {
+        self.run_loop(arrivals, Some(&mut profile));
+        profile.history = self.policy.history_stats().unwrap_or_default();
+        let report = self.finish();
+        profile.invocations = report.invocations() as u64;
+        (report, profile)
     }
 
-    /// The reference dispatch loop: pop and handle one event at a time.
-    fn run_per_event(&mut self) {
-        while let Some(event) = self.events.pop() {
-            self.dispatch_event(event);
-        }
-    }
-
-    /// Advances the clock to `event.time` and runs its handler.
+    /// The dispatch loop: interleaves feeding arrivals from a lazy
+    /// iterator with draining the earliest tick into a reusable scratch
+    /// buffer and dispatching it in grouped runs (see
+    /// [`Self::dispatch_batch`]). With `profile` set, each grouped run
+    /// is counted into the per-kind breakdown, and timed unless the
+    /// profile is counts-only.
     ///
-    /// Ladder boundaries strictly before the new tick are settled first
-    /// (idempotent for later events of the same tick), so every handler
-    /// observes the pool exactly as the eager per-rung chain would have
-    /// left it.
-    fn dispatch_event(&mut self, event: Event) {
-        debug_assert!(event.time >= self.now, "time must not run backwards");
-        self.now = event.time;
-        self.settle_due(event.time, false);
-        match event.kind {
-            EventKind::Arrival { function } => self.handle_arrival(function),
-            EventKind::InitComplete { container, epoch } => {
-                self.handle_init_complete(container, epoch)
-            }
-            EventKind::ExecComplete { container } => self.handle_exec_complete(container),
-            EventKind::IdleTimeout { container, epoch } => {
-                self.handle_idle_timeout(container, epoch)
-            }
-            EventKind::PrewarmFire { function } => self.handle_prewarm_fire(function),
-            EventKind::LadderWake => self.handle_ladder_wake(),
-        }
-    }
-
-    /// The tick-batched dispatch loop: drain all events of the earliest
-    /// timestamp into a reusable scratch buffer, then dispatch them in
-    /// grouped runs of same-kind events so the per-event work is a
-    /// direct handler call instead of a queue pop plus an enum match.
-    /// Handler order is identical to [`Self::run_per_event`] — see
-    /// `EventQueue::pop_tick` for the argument.
-    ///
-    /// With `profile` set, each grouped run is timed and counted into
-    /// the per-kind breakdown.
-    fn run_tick_batched(&mut self, mut profile: Option<&mut EngineProfile>) {
+    /// Correctness invariant: before every `peek_time` the earliest
+    /// unfed arrival's time is at or above the queue head, so the
+    /// wheel's cursor advance can never pass an unfed arrival. It holds
+    /// because (a) whenever no arrival event is in the queue, the next
+    /// arrival is pushed unconditionally (its time is above the last
+    /// dispatched tick, hence above the cursor), and (b) when one *is*
+    /// in the queue, the head is at or below that arrival's time and
+    /// unfed arrivals — sorted — are at or above it. After peeking, the
+    /// feed loop pulls in every arrival at or before the head, so the
+    /// dispatched tick sees exactly the arrivals an up-front push would
+    /// have given it.
+    fn run_loop(
+        &mut self,
+        arrivals: impl Iterator<Item = Arrival>,
+        mut profile: Option<&mut EngineProfile>,
+    ) {
+        let horizon = self.horizon;
+        // Clip exactly as `Trace::from_arrivals` clips; the stream is
+        // time-sorted, so everything past the first late arrival is out.
+        let mut arrivals = arrivals.take_while(|a| a.time <= horizon).peekable();
         let mut batch: Vec<Event> = Vec::new();
-        while let Some(tick) = self.events.pop_tick(&mut batch) {
+        loop {
+            if self.arrivals_in_queue == 0 {
+                if let Some(a) = arrivals.next() {
+                    self.events.push_arrival(a.time, a.function);
+                    self.arrivals_in_queue += 1;
+                }
+            }
+            let Some(head) = self.events.peek_time() else {
+                debug_assert!(arrivals.peek().is_none(), "unfed arrivals but empty queue");
+                break;
+            };
+            while arrivals.peek().is_some_and(|a| a.time <= head) {
+                let a = arrivals.next().expect("peeked arrival exists");
+                self.events.push_arrival(a.time, a.function);
+                self.arrivals_in_queue += 1;
+            }
+            #[cfg(test)]
+            if self.oracle.per_event {
+                let event = self.events.pop().expect("peeked head exists");
+                if let Some(p) = profile.as_deref_mut() {
+                    p.counts[kind_rank(&event.kind)] += 1;
+                }
+                self.dispatch_event(event);
+                continue;
+            }
+            let tick = self
+                .events
+                .pop_tick(&mut batch)
+                .expect("peeked head exists");
             debug_assert!(tick >= self.now, "time must not run backwards");
             self.now = tick;
             self.dispatch_batch(&batch, profile.as_deref_mut());
@@ -416,9 +431,15 @@ impl<'a> Engine<'a> {
     }
 
     /// Dispatches one tick's drained events in grouped runs of same-kind
-    /// events (see [`Self::run_tick_batched`]).
+    /// events, so the per-event work is a direct handler call instead of
+    /// a queue pop plus an enum match. Handler order is identical to
+    /// popping and dispatching one event at a time — see
+    /// `EventQueue::pop_tick` for the argument.
+    ///
+    /// Ladder boundaries strictly before the tick are settled first, so
+    /// every handler observes the pool exactly as the eager per-rung
+    /// chain would have left it.
     fn dispatch_batch(&mut self, batch: &[Event], mut profile: Option<&mut EngineProfile>) {
-        // Tick-start settlement — see `dispatch_event`.
         self.settle_due(self.now, false);
         let mut start = 0;
         while start < batch.len() {
@@ -487,68 +508,26 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The streaming dispatch loop: interleaves feeding arrivals from a
-    /// lazy iterator with dispatching ticks, honouring the configured
-    /// dispatch mode (timed profile runs are tick-batched, mirroring
-    /// [`run_with_profile`]; counts-only profiles honour the mode).
-    ///
-    /// Correctness invariant: before every `peek_time` the earliest
-    /// unfed arrival's time is at or above the queue head, so the
-    /// wheel's cursor advance can never pass an unfed arrival. It holds
-    /// because (a) whenever no arrival event is in the queue, the next
-    /// arrival is pushed unconditionally (its time is above the last
-    /// dispatched tick, hence above the cursor), and (b) when one *is*
-    /// in the queue, the head is at or below that arrival's time and
-    /// unfed arrivals — sorted — are at or above it. After peeking, the
-    /// feed loop pulls in every arrival at or before the head, so the
-    /// dispatched tick sees exactly the arrivals an up-front push would
-    /// have given it.
-    fn run_streaming_loop(
-        &mut self,
-        arrivals: impl Iterator<Item = Arrival>,
-        mut profile: Option<&mut EngineProfile>,
-    ) {
-        let horizon = self.horizon;
-        // Clip exactly as `Trace::from_arrivals` clips; the stream is
-        // time-sorted, so everything past the first late arrival is out.
-        let mut arrivals = arrivals.take_while(|a| a.time <= horizon).peekable();
-        // Timed profiles force tick-batched dispatch (their clock reads
-        // amortize over grouped runs); counts-only profiles honour the
-        // configured mode and count each popped event directly.
-        let tick_batched = profile.as_deref().is_some_and(|p| !p.counting)
-            || matches!(self.config.dispatch, DispatchMode::TickBatched);
-        let mut batch: Vec<Event> = Vec::new();
-        loop {
-            if self.arrivals_in_queue == 0 {
-                if let Some(a) = arrivals.next() {
-                    self.events.push_arrival(a.time, a.function);
-                    self.arrivals_in_queue += 1;
-                }
+    /// The per-event reference for [`Self::dispatch_batch`]: advances
+    /// the clock to `event.time`, settles the boundaries strictly before
+    /// it (idempotent for later events of the same tick), and runs the
+    /// event's handler.
+    #[cfg(test)]
+    fn dispatch_event(&mut self, event: Event) {
+        debug_assert!(event.time >= self.now, "time must not run backwards");
+        self.now = event.time;
+        self.settle_due(event.time, false);
+        match event.kind {
+            EventKind::Arrival { function } => self.handle_arrival(function),
+            EventKind::InitComplete { container, epoch } => {
+                self.handle_init_complete(container, epoch)
             }
-            let Some(head) = self.events.peek_time() else {
-                debug_assert!(arrivals.peek().is_none(), "unfed arrivals but empty queue");
-                break;
-            };
-            while arrivals.peek().is_some_and(|a| a.time <= head) {
-                let a = arrivals.next().expect("peeked arrival exists");
-                self.events.push_arrival(a.time, a.function);
-                self.arrivals_in_queue += 1;
+            EventKind::ExecComplete { container } => self.handle_exec_complete(container),
+            EventKind::IdleTimeout { container, epoch } => {
+                self.handle_idle_timeout(container, epoch)
             }
-            if tick_batched {
-                let tick = self
-                    .events
-                    .pop_tick(&mut batch)
-                    .expect("peeked head exists");
-                debug_assert!(tick >= self.now, "time must not run backwards");
-                self.now = tick;
-                self.dispatch_batch(&batch, profile.as_deref_mut());
-            } else {
-                let event = self.events.pop().expect("peeked head exists");
-                if let Some(p) = profile.as_deref_mut() {
-                    p.counts[kind_rank(&event.kind)] += 1;
-                }
-                self.dispatch_event(event);
-            }
+            EventKind::PrewarmFire { function } => self.handle_prewarm_fire(function),
+            EventKind::LadderWake => self.handle_ladder_wake(),
         }
     }
 
@@ -703,7 +682,7 @@ impl<'a> Engine<'a> {
                 function: f,
                 arrival: self.now,
             });
-            // Under lazy timers the next memory release may be a ladder
+            // The next memory release may be a lazily settled ladder
             // boundary with no event of its own — arm a wake for it.
             self.arm_pending_wake();
         }
@@ -1116,14 +1095,14 @@ impl<'a> Engine<'a> {
     //
     // When a policy exposes its full downgrade schedule as a TtlLadder,
     // the engine stops re-arming a timer per rung. Instead it keeps one
-    // settlement-heap entry per idle container (plus, in lazy mode, a
-    // single terminal IdleTimeout at the ladder's death) and replays
-    // every elapsed boundary — waste records, physical downgrades,
-    // terminations — the moment the clock next moves, before any
-    // handler can observe the pool. The eager mode pushes one
+    // settlement-heap entry per idle container plus a single terminal
+    // IdleTimeout at the ladder's death, and replays every elapsed
+    // boundary — waste records, physical downgrades, terminations — the
+    // moment the clock next moves, before any handler can observe the
+    // pool. The eager-chain oracle (unit tests only) pushes one
     // IdleTimeout per rung instead and settles from the same heap, so
-    // both modes execute identical settlement sequences; they differ
-    // only in event multiplicity.
+    // both execute identical settlement sequences; they differ only in
+    // event multiplicity.
     // ------------------------------------------------------------------
 
     /// Whether a settlement-heap entry still describes the container's
@@ -1220,9 +1199,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Registers the container's current-rung boundary in the
-    /// settlement heap (and, in eager mode, as a per-rung timer event).
-    /// A never-expiring rung parks the container: no entry, and the
-    /// epoch is noted so any pending timer for it dies in-queue.
+    /// settlement heap. A never-expiring rung parks the container: no
+    /// entry, and the epoch is noted so any pending timer for it dies
+    /// in-queue.
     fn push_boundary(&mut self, id: ContainerId) {
         let c = self.pool.get(id).expect("container exists");
         let epoch = c.epoch;
@@ -1232,7 +1211,8 @@ impl<'a> Engine<'a> {
                 let seq = self.settle_seq;
                 self.settle_seq += 1;
                 self.settle.push(Reverse((b, seq, id, epoch)));
-                if self.config.timer_mode == TimerMode::Eager {
+                #[cfg(test)]
+                if self.oracle.eager_timers {
                     self.events.push_ladder(
                         b,
                         EventKind::IdleTimeout {
@@ -1247,9 +1227,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Puts a freshly idle container on `ladder`: rung 0 starts at its
-    /// `idle_since`. Lazy mode arms exactly one terminal timer at the
-    /// ladder's death; eager mode arms per-rung timers via
-    /// [`Self::push_boundary`].
+    /// `idle_since`, and exactly one terminal timer is armed at the
+    /// ladder's death.
     fn install_ladder(&mut self, id: ContainerId, ladder: TtlLadder) {
         let (idle_since, epoch) = {
             let mut c = self.pool.get_mut(id).expect("container exists");
@@ -1261,27 +1240,31 @@ impl<'a> Engine<'a> {
             (c.idle_since, c.epoch)
         };
         self.push_boundary(id);
-        if self.config.timer_mode == TimerMode::Lazy {
-            match ladder.death(idle_since) {
-                Some(death) => self.events.push_ladder(
-                    death,
-                    EventKind::IdleTimeout {
-                        container: id,
-                        epoch,
-                    },
-                ),
-                None => self.events.note(id, epoch),
-            }
+        // The eager chain armed its first rung timer in `push_boundary`
+        // and needs neither a terminal timer nor wakes.
+        #[cfg(test)]
+        if self.oracle.eager_timers {
+            return;
+        }
+        match ladder.death(idle_since) {
+            Some(death) => self.events.push_ladder(
+                death,
+                EventKind::IdleTimeout {
+                    container: id,
+                    epoch,
+                },
+            ),
+            None => self.events.note(id, epoch),
         }
         self.arm_pending_wake();
     }
 
     /// A `LadderWake` fired: settle everything due (boundary included —
     /// this wake *is* the boundary) and re-admit queued work into any
-    /// freed memory. The drain is gated on an actual settlement so both
-    /// timer modes drain at exactly the same ticks (a stale wake, like a
-    /// stale eager rung timer, must not touch the admission queue or
-    /// the RNG stream).
+    /// freed memory. The drain is gated on an actual settlement so the
+    /// lazy schedule drains at exactly the ticks the eager chain does (a
+    /// stale wake, like a stale eager rung timer, must not touch the
+    /// admission queue or the RNG stream).
     fn handle_ladder_wake(&mut self) {
         self.wake_armed = None;
         if self.settle_due(self.now, true) > 0 {
@@ -1292,11 +1275,16 @@ impl<'a> Engine<'a> {
 
     /// Arms a `LadderWake` at the earliest live ladder boundary, if the
     /// admission queue is non-empty and no earlier wake is already in
-    /// flight. Without this, lazy mode would sit on queued invocations
-    /// across a boundary the eager chain's rung timer would have freed
-    /// memory at. Invalid heap heads are pruned on the way.
+    /// flight. Without this, the lazy schedule would sit on queued
+    /// invocations across a boundary the eager chain's rung timer would
+    /// have freed memory at. Invalid heap heads are pruned on the way.
     fn arm_pending_wake(&mut self) {
-        if self.pending.is_empty() || self.config.timer_mode == TimerMode::Eager {
+        if self.pending.is_empty() {
+            return;
+        }
+        // The eager chain's rung timers free memory on their own.
+        #[cfg(test)]
+        if self.oracle.eager_timers {
             return;
         }
         let target = loop {
@@ -1426,10 +1414,11 @@ impl<'a> Engine<'a> {
             _ => return, // stale (container reused, repurposed, or gone)
         };
         if on_ladder {
-            // A ladder-band timer (lazy terminal or eager rung): every
-            // boundary at or before now settles here; the policy is not
-            // consulted (the schedule was fixed at idle time). Drain
-            // gating mirrors `handle_ladder_wake`.
+            // A ladder-band timer (the lazy terminal timer, or an
+            // eager-chain oracle rung): every boundary at or before now
+            // settles here; the policy is not consulted (the schedule
+            // was fixed at idle time). Drain gating mirrors
+            // `handle_ladder_wake`.
             if self.settle_due(self.now, true) > 0 {
                 self.drain_pending();
             }
@@ -1901,39 +1890,37 @@ mod tests {
         assert!(cp.total_waste().value() > base.total_waste().value());
     }
 
+    /// The eager-chain oracle switched on, everything else production.
+    const EAGER: Oracle = Oracle {
+        heap_queue: false,
+        per_event: false,
+        eager_timers: true,
+    };
+
     #[test]
-    fn streaming_run_is_byte_identical_to_materialized() {
-        use crate::event::QueueKind;
+    fn every_oracle_and_the_profiled_entry_point_match_run() {
         let cat = catalog();
         let trace = trace_of(&[(0, 0), (10, 1), (20, 0), (20, 1), (40, 1), (70, 0)], 300);
-        for queue in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            for dispatch in [DispatchMode::TickBatched, DispatchMode::PerEvent] {
-                let cfg = SimConfig {
-                    event_queue: queue,
-                    dispatch,
-                    ..SimConfig::default()
-                };
-                let mut p1 = TestPolicy {
-                    ttl: Micros::from_secs(30),
-                    share_layers: true,
-                    downgrade: true,
-                    prewarm_delay: Some(Micros::from_secs(15)),
-                };
-                let materialized = run(&cat, &mut p1, &trace, &cfg);
-                let mut p2 = TestPolicy {
-                    ttl: Micros::from_secs(30),
-                    share_layers: true,
-                    downgrade: true,
-                    prewarm_delay: Some(Micros::from_secs(15)),
-                };
-                let streamed =
-                    run_streaming(&cat, &mut p2, trace.iter().copied(), trace.horizon(), &cfg);
-                assert_eq!(
-                    streamed.to_json(),
-                    materialized.to_json(),
-                    "streaming diverged ({queue:?}, {dispatch:?})"
-                );
-            }
+        let cfg = SimConfig::default();
+        let policy = || TestPolicy {
+            ttl: Micros::from_secs(30),
+            share_layers: true,
+            downgrade: true,
+            prewarm_delay: Some(Micros::from_secs(15)),
+        };
+        let reference = run(&cat, &mut policy(), &trace, &cfg).to_json();
+        let (streamed, profile) = run_streaming_with_profile(
+            &cat,
+            &mut policy(),
+            trace.iter().copied(),
+            trace.horizon(),
+            &cfg,
+        );
+        assert_eq!(streamed.to_json(), reference);
+        assert_eq!(profile.invocations, 6);
+        for oracle in Oracle::all() {
+            let (report, _) = run_oracle(&cat, &mut policy(), &trace, &cfg, oracle);
+            assert_eq!(report.to_json(), reference, "{oracle:?} diverged");
         }
     }
 
@@ -1947,7 +1934,7 @@ mod tests {
         let mut p1 = TestPolicy::keepalive(Micros::from_mins(1));
         let materialized = run(&cat, &mut p1, &trace, &config());
         let mut p2 = TestPolicy::keepalive(Micros::from_mins(1));
-        let streamed = run_streaming(
+        let (streamed, _) = run_streaming_with_profile(
             &cat,
             &mut p2,
             all.iter().map(|&(s, f)| Arrival {
@@ -1963,9 +1950,9 @@ mod tests {
     #[test]
     fn ladder_run_matches_classic_downgrade_chain() {
         // One container walking User -> Lang -> Bare -> death, plus a
-        // mid-ladder SharedLang hit: the ladder path (in both timer
-        // modes) must reproduce the classic per-rung chain byte for
-        // byte when no admission queueing coalesces drains.
+        // mid-ladder SharedLang hit: the ladder path (lazy, and on the
+        // eager-chain oracle) must reproduce the classic per-rung chain
+        // byte for byte when no admission queueing coalesces drains.
         let cat = catalog();
         let trace = trace_of(&[(0, 0), (30, 1), (200, 0)], 400);
         let cfg = config();
@@ -1976,51 +1963,36 @@ mod tests {
             prewarm_delay: None,
         };
         let reference = run(&cat, &mut classic, &trace, &cfg);
-        for timer_mode in [TimerMode::Lazy, TimerMode::Eager] {
-            let cfg = SimConfig {
-                timer_mode,
-                ..cfg.clone()
-            };
+        for oracle in [Oracle::default(), EAGER] {
             let mut ladder = LadderPolicy::new(Micros::from_secs(20));
-            let got = run(&cat, &mut ladder, &trace, &cfg);
+            let (got, _) = run_oracle(&cat, &mut ladder, &trace, &cfg, oracle);
             assert_eq!(
                 got.records, reference.records,
-                "ladder records diverged ({timer_mode:?})"
+                "ladder records diverged ({oracle:?})"
             );
             assert_eq!(
                 got.waste, reference.waste,
-                "ladder waste diverged ({timer_mode:?})"
+                "ladder waste diverged ({oracle:?})"
             );
         }
     }
 
     #[test]
     fn lazy_and_eager_ladders_are_byte_identical_under_pressure() {
-        use crate::event::QueueKind;
         let cat = catalog();
         // Tight memory forces admission queueing, so lazy wakes (not
         // per-rung timers) must free queued work at ladder boundaries.
         let trace = trace_of(&[(0, 0), (0, 1), (40, 0), (41, 1), (100, 1)], 400);
-        for queue in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            for dispatch in [DispatchMode::TickBatched, DispatchMode::PerEvent] {
-                let mut cfg = SimConfig {
-                    event_queue: queue,
-                    dispatch,
-                    ..SimConfig::default()
-                };
-                cfg.memory_capacity = MemMb::new(200);
-                cfg.timer_mode = TimerMode::Eager;
-                let mut p1 = LadderPolicy::new(Micros::from_secs(15));
-                let eager = run(&cat, &mut p1, &trace, &cfg);
-                cfg.timer_mode = TimerMode::Lazy;
-                let mut p2 = LadderPolicy::new(Micros::from_secs(15));
-                let lazy = run(&cat, &mut p2, &trace, &cfg);
-                assert_eq!(
-                    lazy.to_json(),
-                    eager.to_json(),
-                    "timer modes diverged ({queue:?}, {dispatch:?})"
-                );
-            }
+        let cfg = SimConfig {
+            memory_capacity: MemMb::new(200),
+            ..SimConfig::default()
+        };
+        let mut p = LadderPolicy::new(Micros::from_secs(15));
+        let lazy = run(&cat, &mut p, &trace, &cfg).to_json();
+        for oracle in Oracle::all() {
+            let mut p = LadderPolicy::new(Micros::from_secs(15));
+            let (report, _) = run_oracle(&cat, &mut p, &trace, &cfg, oracle);
+            assert_eq!(report.to_json(), lazy, "{oracle:?} diverged");
         }
     }
 
@@ -2051,12 +2023,8 @@ mod tests {
             }
         }
         let mut results = Vec::new();
-        for timer_mode in [TimerMode::Lazy, TimerMode::Eager] {
-            let cfg = SimConfig {
-                timer_mode,
-                ..config()
-            };
-            let report = run(&cat, &mut ParkedLadder, &trace, &cfg);
+        for oracle in [Oracle::default(), EAGER] {
+            let (report, _) = run_oracle(&cat, &mut ParkedLadder, &trace, &config(), oracle);
             assert!(report.waste.miss_total().value() > 0.0);
             results.push(report.to_json());
         }
@@ -2070,16 +2038,12 @@ mod tests {
         // period, lazy pays one terminal timer plus tick-start
         // settlement.
         let trace = trace_of(&[(0, 0), (100, 0), (200, 1), (300, 0)], 500);
-        let run_mode = |timer_mode| {
-            let cfg = SimConfig {
-                timer_mode,
-                ..config()
-            };
+        let run_mode = |oracle| {
             let mut p = LadderPolicy::new(Micros::from_secs(10));
-            run_with_profile(&cat, &mut p, &trace, &cfg)
+            run_oracle(&cat, &mut p, &trace, &config(), oracle)
         };
-        let (lazy_report, lazy) = run_mode(TimerMode::Lazy);
-        let (eager_report, eager) = run_mode(TimerMode::Eager);
+        let (lazy_report, lazy) = run_mode(Oracle::default());
+        let (eager_report, eager) = run_mode(EAGER);
         assert_eq!(lazy_report.to_json(), eager_report.to_json());
         assert_eq!(lazy.invocations, 4);
         assert_eq!(eager.invocations, 4);

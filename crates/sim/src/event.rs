@@ -1,24 +1,25 @@
 //! The discrete-event core: timestamped events with a deterministic
-//! total order (time, then insertion sequence).
+//! total order (time, then insertion sequence), kept in a
+//! **hierarchical timer wheel** — O(1) pushes, pops amortized
+//! O(levels), FIFO within a tick by construction (see DESIGN.md §7).
+//! The original `BinaryHeap` future-event list survives only as a
+//! test oracle: unit tests pop both in lockstep, and run the whole
+//! engine on either (`engine::Oracle`).
 //!
-//! Two interchangeable backends implement that order (see DESIGN.md §7):
-//!
-//! * a **hierarchical timer wheel** (the default) — O(1) pushes, pops
-//!   amortized O(levels), FIFO within a tick by construction; and
-//! * the original **binary heap**, kept as the behavioural reference for
-//!   the byte-identity tests in `tests/event_core_identity.rs`.
-//!
-//! On top of either backend the queue maintains per-container
-//! **generation stamps** so that stale container events (the old
-//! `IdleTimeout` left behind by every reuse and every layer downgrade)
-//! are dropped inside `pop` instead of surviving until the engine's
-//! handler filters them. Dropping is a pure optimization: an event is
-//! discarded only when the stamp *proves* the handler would ignore it,
-//! so a missed invalidation degrades to the old filter-at-handler
-//! behaviour and never changes simulation results.
+//! The queue maintains per-container **generation stamps** so that
+//! stale container events (the old `IdleTimeout` left behind by every
+//! reuse and every layer downgrade) are dropped inside the queue instead
+//! of surviving until the engine's handler filters them. Dropping is a
+//! pure optimization: an event is discarded only when the stamp *proves*
+//! the handler would ignore it, so a missed invalidation degrades to
+//! the old filter-at-handler behaviour and never changes simulation
+//! results.
 
+#[cfg(test)]
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+#[cfg(test)]
+use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use rainbowcake_core::time::Instant;
 use rainbowcake_core::types::{ContainerId, FunctionId};
@@ -98,6 +99,7 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+#[cfg(test)]
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest event pops
@@ -106,22 +108,11 @@ impl Ord for Event {
     }
 }
 
+#[cfg(test)]
 impl PartialOrd for Event {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
-}
-
-/// Which future-event-list implementation an [`EventQueue`] uses. Both
-/// produce the identical pop order; the heap is kept as the reference
-/// for equivalence tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Hierarchical timer wheel (the default).
-    #[default]
-    TimerWheel,
-    /// The original `BinaryHeap` future-event list.
-    BinaryHeap,
 }
 
 /// Bits of the slot index at each wheel level.
@@ -199,6 +190,7 @@ impl Wheel {
         lvl.occupied |= 1 << slot;
     }
 
+    #[cfg(test)]
     fn pop(&mut self, stamps: &[Stamp], len: &mut usize, dropped: &mut u64) -> Option<Event> {
         if self.advance_to_head(stamps, len, dropped) {
             self.current.pop_front()
@@ -210,17 +202,18 @@ impl Wheel {
     /// Advances `cursor` to the earliest pending timestamp (cascading
     /// coarser slots down as needed) and returns whether any event is
     /// pending; on `true`, `current` is non-empty and holds the head
-    /// tick. This is `pop` without the removal, shared by `pop` and
-    /// [`EventQueue::peek_time`].
+    /// tick. Shared by [`EventQueue::peek_time`] and
+    /// [`EventQueue::pop_tick`].
     ///
     /// Events the stamp table already proves stale are dropped right
     /// here (decrementing `len` and counting into `dropped`) instead of
     /// being cascaded onward: a reused container's abandoned minutes-out
     /// `IdleTimeout` would otherwise ride the cascade through every
     /// finer level just to be discarded at the head. Dropping earlier
-    /// than `pop` would is unobservable — stamps never un-stale an
-    /// event — and the count keeps `len + stale_dropped` an exact
-    /// backend-independent invariant (`tests/properties.rs`).
+    /// than a pop-time filter would is unobservable — stamps never
+    /// un-stale an event — and the count keeps `len + stale_dropped` an
+    /// exact backend-independent invariant (the wheel-vs-heap
+    /// proptest).
     fn advance_to_head(&mut self, stamps: &[Stamp], len: &mut usize, dropped: &mut u64) -> bool {
         loop {
             if !self.current.is_empty() {
@@ -283,13 +276,13 @@ impl Wheel {
 const RUNTIME_SEQ_BASE: u64 = 1 << 48;
 
 /// First sequence number of the ladder band: terminal ladder timers,
-/// eager rung timers and [`EventKind::LadderWake`] wakes sort *after*
-/// every arrival and every runtime event sharing their tick. A ladder
-/// boundary at instant `b` therefore becomes visible strictly after
-/// all the tick-`b` work that was scheduled before it — the same
-/// within-tick position the old eager downgrade chain gave its
-/// re-armed timers — and the two timer modes order identically by
-/// construction.
+/// the eager-chain oracle's rung timers and [`EventKind::LadderWake`]
+/// wakes sort *after* every arrival and every runtime event sharing
+/// their tick. A ladder boundary at instant `b` therefore becomes
+/// visible strictly after all the tick-`b` work that was scheduled
+/// before it — the same within-tick position the eager downgrade chain
+/// gives its re-armed timers — so the lazy schedule and the eager chain
+/// order identically by construction.
 const LADDER_SEQ_BASE: u64 = 1 << 60;
 
 /// A per-container-slot generation stamp: events scheduled for an older
@@ -305,15 +298,8 @@ struct Stamp {
     min_epoch: u64,
 }
 
-#[derive(Debug)]
-enum Backend {
-    Wheel(Wheel),
-    Heap(BinaryHeap<Event>),
-}
-
-/// Stamp-table staleness check shared by [`EventQueue::pop`] and
-/// [`EventQueue::pop_tick`] — a free function so tick draining can run
-/// while the backend is mutably borrowed.
+/// Stamp-table staleness check — a free function so queue draining can
+/// run while the wheel is mutably borrowed.
 fn stale(stamps: &[Stamp], event: &Event) -> bool {
     let Some((container, epoch)) = event.kind.guard() else {
         return false;
@@ -326,10 +312,14 @@ fn stale(stamps: &[Stamp], event: &Event) -> bool {
     }
 }
 
-/// A deterministic future-event list.
+/// A deterministic future-event list on the timer wheel.
 #[derive(Debug)]
 pub struct EventQueue {
-    backend: Backend,
+    wheel: Wheel,
+    /// The `BinaryHeap` reference backend: when set, every operation
+    /// goes to it instead of the wheel.
+    #[cfg(test)]
+    heap: Option<BinaryHeap<Event>>,
     /// Next runtime-band sequence number (starts at
     /// [`RUNTIME_SEQ_BASE`]).
     next_seq: u64,
@@ -340,9 +330,9 @@ pub struct EventQueue {
     next_ladder_seq: u64,
     len: usize,
     /// Events discarded as provably stale instead of delivered. The
-    /// wheel drops mid-cascade and the heap drops at the head, so `len`
-    /// alone diverges between backends — but `len + stale_dropped` is
-    /// exact and backend-independent.
+    /// wheel drops mid-cascade, earlier than a pop-time filter would,
+    /// so `len` alone depends on where stale events sit — but
+    /// `len + stale_dropped` is exact.
     stale_dropped: u64,
     /// Generation stamps indexed by pool slot (`ContainerId::slot`).
     stamps: Vec<Stamp>,
@@ -355,19 +345,12 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// Creates an empty queue on the default (timer wheel) backend.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue::with_backend(QueueKind::TimerWheel)
-    }
-
-    /// Creates an empty queue on the chosen backend.
-    pub fn with_backend(kind: QueueKind) -> Self {
-        let backend = match kind {
-            QueueKind::TimerWheel => Backend::Wheel(Wheel::new()),
-            QueueKind::BinaryHeap => Backend::Heap(BinaryHeap::new()),
-        };
         EventQueue {
-            backend,
+            wheel: Wheel::new(),
+            #[cfg(test)]
+            heap: None,
             next_seq: RUNTIME_SEQ_BASE,
             next_arrival_seq: 0,
             next_ladder_seq: LADDER_SEQ_BASE,
@@ -375,6 +358,16 @@ impl EventQueue {
             stale_dropped: 0,
             stamps: Vec::new(),
         }
+    }
+
+    fn insert(&mut self, event: Event) {
+        self.len += 1;
+        #[cfg(test)]
+        if let Some(heap) = &mut self.heap {
+            heap.push(event);
+            return;
+        }
+        self.wheel.push(event);
     }
 
     /// Schedules `kind` at `time` in the runtime sequence band.
@@ -386,31 +379,21 @@ impl EventQueue {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.len += 1;
-        let event = Event { time, seq, kind };
-        match &mut self.backend {
-            Backend::Wheel(w) => w.push(event),
-            Backend::Heap(h) => h.push(event),
-        }
+        self.insert(Event { time, seq, kind });
     }
 
     /// Schedules `kind` at `time` in the high (ladder) sequence band:
     /// at any tick, ladder events sort after every arrival and every
     /// runtime event regardless of when they were pushed — see
-    /// [`LADDER_SEQ_BASE`]. Used for ladder terminal timers, eager
-    /// rung timers and [`EventKind::LadderWake`].
+    /// [`LADDER_SEQ_BASE`]. Used for ladder terminal timers and
+    /// [`EventKind::LadderWake`].
     pub fn push_ladder(&mut self, time: Instant, kind: EventKind) {
         if let Some((container, epoch)) = kind.guard() {
             self.note(container, epoch);
         }
         let seq = self.next_ladder_seq;
         self.next_ladder_seq += 1;
-        self.len += 1;
-        let event = Event { time, seq, kind };
-        match &mut self.backend {
-            Backend::Wheel(w) => w.push(event),
-            Backend::Heap(h) => h.push(event),
-        }
+        self.insert(Event { time, seq, kind });
     }
 
     /// Schedules an invocation arrival of `function` at `time` in the
@@ -421,66 +404,56 @@ impl EventQueue {
     pub fn push_arrival(&mut self, time: Instant, function: FunctionId) {
         let seq = self.next_arrival_seq;
         self.next_arrival_seq += 1;
-        self.len += 1;
-        let event = Event {
+        self.insert(Event {
             time,
             seq,
             kind: EventKind::Arrival { function },
-        };
-        match &mut self.backend {
-            Backend::Wheel(w) => w.push(event),
-            Backend::Heap(h) => h.push(event),
-        }
+        });
     }
 
     /// The timestamp of the earliest live pending event, discarding
-    /// provably stale heads along the way (exactly the events `pop`
-    /// would discard).
+    /// provably stale heads along the way (exactly the events
+    /// [`Self::pop_tick`] would discard).
     ///
-    /// On the wheel backend this advances the cursor to the head tick,
-    /// so afterwards only events at `>=` the returned time may be
-    /// pushed. The streaming drivers uphold that by construction: they
-    /// keep the earliest unfed arrival's time at or above the queue
-    /// head before every peek (see `engine::run_streaming`).
+    /// This advances the wheel's cursor to the head tick, so afterwards
+    /// only events at `>=` the returned time may be pushed. The engine's
+    /// dispatch loop upholds that by construction: it keeps the earliest
+    /// unfed arrival's time at or above the queue head before every peek
+    /// (see `Engine::run_loop`).
     pub fn peek_time(&mut self) -> Option<Instant> {
+        #[cfg(test)]
+        if self.heap.is_some() {
+            return self.heap_peek_time();
+        }
         let EventQueue {
-            backend,
+            wheel,
             len,
             stale_dropped,
             stamps,
             ..
         } = self;
-        match backend {
-            Backend::Wheel(w) => loop {
-                if !w.advance_to_head(stamps, len, stale_dropped) {
-                    return None;
-                }
-                let event = *w.current.front().expect("advance_to_head returned true");
-                if stale(stamps, &event) {
-                    w.current.pop_front();
-                    *len -= 1;
-                    *stale_dropped += 1;
-                    continue;
-                }
-                return Some(event.time);
-            },
-            Backend::Heap(h) => loop {
-                let event = *h.peek()?;
-                if stale(stamps, &event) {
-                    h.pop();
-                    *len -= 1;
-                    *stale_dropped += 1;
-                    continue;
-                }
-                return Some(event.time);
-            },
+        loop {
+            if !wheel.advance_to_head(stamps, len, stale_dropped) {
+                return None;
+            }
+            let event = *wheel
+                .current
+                .front()
+                .expect("advance_to_head returned true");
+            if stale(stamps, &event) {
+                wheel.current.pop_front();
+                *len -= 1;
+                *stale_dropped += 1;
+                continue;
+            }
+            return Some(event.time);
         }
     }
 
     /// Records that `container`'s epoch is at least `epoch`: pending
     /// epoch-guarded events below that epoch (or for an older occupant
-    /// of the same pool slot) will be dropped inside [`EventQueue::pop`]
-    /// instead of reaching the engine.
+    /// of the same pool slot) will be dropped inside the queue instead
+    /// of reaching the engine.
     ///
     /// Calling this is never required for correctness — the engine's
     /// handlers re-check epochs against live containers — it only lets
@@ -508,32 +481,6 @@ impl EventQueue {
         self.note(container, u64::MAX);
     }
 
-    /// Pops the earliest live event (FIFO among equal timestamps).
-    /// Events proven stale by the generation stamps are discarded
-    /// silently; skipping them is unobservable because their handlers
-    /// would be no-ops.
-    pub fn pop(&mut self) -> Option<Event> {
-        let EventQueue {
-            backend,
-            len,
-            stale_dropped,
-            stamps,
-            ..
-        } = self;
-        loop {
-            let event = match backend {
-                Backend::Wheel(w) => w.pop(stamps, len, stale_dropped),
-                Backend::Heap(h) => h.pop(),
-            }?;
-            *len -= 1;
-            if stale(stamps, &event) {
-                *stale_dropped += 1;
-                continue;
-            }
-            return Some(event);
-        }
-    }
-
     /// Drains every live event at the earliest pending timestamp into
     /// `out` (cleared first), in FIFO (`seq`) order, and returns that
     /// timestamp. `out` is a caller-owned scratch buffer so its
@@ -551,49 +498,38 @@ impl EventQueue {
     /// stamp filter here only drops events already stale at drain time.
     pub fn pop_tick(&mut self, out: &mut Vec<Event>) -> Option<Instant> {
         out.clear();
-        let first = self.pop()?;
-        let tick = first.time;
-        out.push(first);
+        #[cfg(test)]
+        if self.heap.is_some() {
+            return self.heap_pop_tick(out);
+        }
         let EventQueue {
-            backend,
+            wheel,
             len,
             stale_dropped,
             stamps,
             ..
         } = self;
-        match backend {
-            Backend::Wheel(w) => {
-                // Wheel invariant: after a pop, `current` holds exactly
-                // the remaining events at `cursor == tick`, seq-sorted.
-                while let Some(event) = w.current.pop_front() {
-                    debug_assert_eq!(event.time, tick);
-                    *len -= 1;
-                    if stale(stamps, &event) {
-                        *stale_dropped += 1;
-                    } else {
-                        out.push(event);
-                    }
-                }
+        while out.is_empty() {
+            if !wheel.advance_to_head(stamps, len, stale_dropped) {
+                return None;
             }
-            Backend::Heap(h) => {
-                while h.peek().is_some_and(|e| e.time == tick) {
-                    let event = h.pop().expect("peeked event exists");
-                    *len -= 1;
-                    if stale(stamps, &event) {
-                        *stale_dropped += 1;
-                    } else {
-                        out.push(event);
-                    }
+            // Wheel invariant: `current` holds exactly the events at
+            // the head tick, seq-sorted.
+            for event in wheel.current.drain(..) {
+                *len -= 1;
+                if stale(stamps, &event) {
+                    *stale_dropped += 1;
+                } else {
+                    out.push(event);
                 }
             }
         }
-        Some(tick)
+        Some(out[0].time)
     }
 
-    /// Number of pending events. Stale events count until the backend
-    /// discards them — at `pop` on the heap, but possibly earlier on
-    /// the wheel (mid-cascade), so the two backends may disagree on
-    /// `len` while agreeing exactly on every popped event.
+    /// Number of pending events. Stale events count until the queue
+    /// discards them, which the wheel may do mid-cascade — earlier than
+    /// a pop-time filter would.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -603,19 +539,98 @@ impl EventQueue {
         self.len == 0
     }
 
-    /// Events discarded as provably stale rather than delivered. The
-    /// two backends may disagree on `len` (the wheel drops stale events
-    /// mid-cascade, the heap only at the head) but always agree on
-    /// `len() + stale_dropped()` — the exact conservation law
-    /// `tests/properties.rs` checks.
+    /// Events discarded as provably stale rather than delivered.
+    /// `len() + stale_dropped()` is exact no matter when the drops
+    /// happen — the conservation law the wheel-vs-heap proptest checks.
     pub fn stale_dropped(&self) -> u64 {
         self.stale_dropped
+    }
+}
+
+/// The reference behaviours the unit tests pin the wheel against: the
+/// `BinaryHeap` backend (filtering stale events only at its head) and
+/// one-event-at-a-time popping.
+#[cfg(test)]
+impl EventQueue {
+    /// An empty queue on the `BinaryHeap` reference backend.
+    pub(crate) fn reference_heap() -> Self {
+        EventQueue {
+            heap: Some(BinaryHeap::new()),
+            ..EventQueue::new()
+        }
+    }
+
+    /// Pops the earliest live event (FIFO among equal timestamps) — the
+    /// per-event reference for [`Self::pop_tick`]. Events proven stale
+    /// by the generation stamps are discarded silently.
+    pub(crate) fn pop(&mut self) -> Option<Event> {
+        let EventQueue {
+            wheel,
+            heap,
+            len,
+            stale_dropped,
+            stamps,
+            ..
+        } = self;
+        loop {
+            let event = match heap {
+                Some(h) => h.pop(),
+                None => wheel.pop(stamps, len, stale_dropped),
+            }?;
+            *len -= 1;
+            if stale(stamps, &event) {
+                *stale_dropped += 1;
+                continue;
+            }
+            return Some(event);
+        }
+    }
+
+    fn heap_peek_time(&mut self) -> Option<Instant> {
+        let heap = self.heap.as_mut().expect("heap backend");
+        loop {
+            let event = *heap.peek()?;
+            if stale(&self.stamps, &event) {
+                heap.pop();
+                self.len -= 1;
+                self.stale_dropped += 1;
+                continue;
+            }
+            return Some(event.time);
+        }
+    }
+
+    fn heap_pop_tick(&mut self, out: &mut Vec<Event>) -> Option<Instant> {
+        let first = self.pop()?;
+        let tick = first.time;
+        out.push(first);
+        let heap = self.heap.as_mut().expect("heap backend");
+        while heap.peek().is_some_and(|e| e.time == tick) {
+            let event = heap.pop().expect("peeked event exists");
+            self.len -= 1;
+            if stale(&self.stamps, &event) {
+                self.stale_dropped += 1;
+            } else {
+                out.push(event);
+            }
+        }
+        Some(tick)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    type NewQueue = fn() -> EventQueue;
+
+    /// Both backends, labelled: the production wheel and the heap
+    /// reference.
+    const BACKENDS: [(&str, NewQueue); 2] = [
+        ("wheel", EventQueue::new),
+        ("heap", EventQueue::reference_heap),
+    ];
 
     fn t(us: u64) -> Instant {
         Instant::from_micros(us)
@@ -734,8 +749,8 @@ mod tests {
     #[test]
     fn backends_pop_identically() {
         let times = [7u64, 7, 0, 3, 100_000, 64, 65, 63, 4096, 7, 1 << 40];
-        let mut wheel = EventQueue::with_backend(QueueKind::TimerWheel);
-        let mut heap = EventQueue::with_backend(QueueKind::BinaryHeap);
+        let mut wheel = EventQueue::new();
+        let mut heap = EventQueue::reference_heap();
         for (i, &us) in times.iter().enumerate() {
             wheel.push(t(us), prewarm(i as u32));
             heap.push(t(us), prewarm(i as u32));
@@ -815,14 +830,14 @@ mod tests {
 
     #[test]
     fn pop_tick_drains_exactly_one_timestamp() {
-        for kind in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            let mut q = EventQueue::with_backend(kind);
+        for (kind, new_queue) in BACKENDS {
+            let mut q = new_queue();
             q.push(t(10), prewarm(0));
             q.push(t(20), prewarm(1));
             q.push(t(10), prewarm(2));
             q.push(t(10), prewarm(3));
             let mut batch = Vec::new();
-            assert_eq!(q.pop_tick(&mut batch), Some(t(10)));
+            assert_eq!(q.pop_tick(&mut batch), Some(t(10)), "{kind}");
             let fns: Vec<u32> = batch
                 .iter()
                 .map(|e| match e.kind {
@@ -844,11 +859,11 @@ mod tests {
         // A handler processing tick T may schedule new work at T; it
         // must surface in the *next* batch, after everything already
         // drained — the same order per-event popping would produce.
-        for kind in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            let mut q = EventQueue::with_backend(kind);
+        for (kind, new_queue) in BACKENDS {
+            let mut q = new_queue();
             q.push(t(10), prewarm(0));
             let mut batch = Vec::new();
-            assert_eq!(q.pop_tick(&mut batch), Some(t(10)));
+            assert_eq!(q.pop_tick(&mut batch), Some(t(10)), "{kind}");
             assert_eq!(batch.len(), 1);
             q.push(t(10), prewarm(1));
             q.push(t(10), prewarm(2));
@@ -860,8 +875,8 @@ mod tests {
     #[test]
     fn pop_tick_drops_stale_events() {
         let c = ContainerId::from_parts(1, 3);
-        for kind in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            let mut q = EventQueue::with_backend(kind);
+        for (kind, new_queue) in BACKENDS {
+            let mut q = new_queue();
             q.push(
                 t(10),
                 EventKind::IdleTimeout {
@@ -872,7 +887,7 @@ mod tests {
             q.push(t(10), prewarm(7));
             q.note(c, 5);
             let mut batch = Vec::new();
-            assert_eq!(q.pop_tick(&mut batch), Some(t(10)));
+            assert_eq!(q.pop_tick(&mut batch), Some(t(10)), "{kind}");
             assert_eq!(batch.len(), 1);
             assert!(matches!(
                 batch[0].kind,
@@ -914,8 +929,8 @@ mod tests {
         // Whether an arrival is pushed before or after the runtime
         // events sharing its tick, it must pop first — the low seq
         // band guarantees it on both backends.
-        for kind in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            let mut q = EventQueue::with_backend(kind);
+        for (kind, new_queue) in BACKENDS {
+            let mut q = new_queue();
             q.push(t(10), prewarm(1));
             q.push(t(10), prewarm(2));
             q.push_arrival(t(10), FunctionId::new(7));
@@ -929,7 +944,7 @@ mod tests {
                     prewarm(1),
                     prewarm(2),
                 ],
-                "{kind:?}"
+                "{kind}"
             );
         }
     }
@@ -939,9 +954,9 @@ mod tests {
         // The streaming pattern: peek the head tick, feed the arrivals
         // at or before it, dispatch. The pop order must be identical to
         // pushing every arrival up front.
-        for kind in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            let mut up_front = EventQueue::with_backend(kind);
-            let mut lazy = EventQueue::with_backend(kind);
+        for (kind, new_queue) in BACKENDS {
+            let mut up_front = new_queue();
+            let mut lazy = new_queue();
             let arrivals = [5u64, 10, 10, 20];
             for (i, &us) in arrivals.iter().enumerate() {
                 up_front.push_arrival(t(us), FunctionId::new(i as u32));
@@ -973,7 +988,7 @@ mod tests {
             while let Some(e) = up_front.pop() {
                 popped_up_front.push(e);
             }
-            assert_eq!(popped_lazy, popped_up_front, "{kind:?}");
+            assert_eq!(popped_lazy, popped_up_front, "{kind}");
         }
     }
 
@@ -981,8 +996,8 @@ mod tests {
     fn ladder_band_sorts_last_at_a_tick() {
         // A ladder event at a tick pops after every arrival and every
         // runtime event at that tick, even when pushed first.
-        for kind in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            let mut q = EventQueue::with_backend(kind);
+        for (kind, new_queue) in BACKENDS {
+            let mut q = new_queue();
             q.push_ladder(t(10), EventKind::LadderWake);
             q.push(t(10), prewarm(1));
             q.push_arrival(t(10), FunctionId::new(7));
@@ -996,7 +1011,7 @@ mod tests {
                     prewarm(1),
                     EventKind::LadderWake,
                 ],
-                "{kind:?}"
+                "{kind}"
             );
         }
     }
@@ -1020,8 +1035,8 @@ mod tests {
         // head, so `len` alone diverges — but delivered events plus
         // `len + stale_dropped` is conserved identically.
         let c = ContainerId::from_parts(1, 2);
-        let mut wheel = EventQueue::with_backend(QueueKind::TimerWheel);
-        let mut heap = EventQueue::with_backend(QueueKind::BinaryHeap);
+        let mut wheel = EventQueue::new();
+        let mut heap = EventQueue::reference_heap();
         for q in [&mut wheel, &mut heap] {
             for i in 0..4u64 {
                 q.push(
@@ -1055,8 +1070,8 @@ mod tests {
     #[test]
     fn peek_time_reports_head_and_drops_stale_heads() {
         let c = ContainerId::new(4);
-        for kind in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            let mut q = EventQueue::with_backend(kind);
+        for (kind, new_queue) in BACKENDS {
+            let mut q = new_queue();
             assert_eq!(q.peek_time(), None);
             q.push(
                 t(10),
@@ -1066,14 +1081,145 @@ mod tests {
                 },
             );
             q.push(t(30), prewarm(1));
-            assert_eq!(q.peek_time(), Some(t(10)), "{kind:?}");
+            assert_eq!(q.peek_time(), Some(t(10)), "{kind}");
             // Invalidate the head: peek must skip to the live event and
             // discard the stale one for good.
             q.note(c, 5);
-            assert_eq!(q.peek_time(), Some(t(30)), "{kind:?}");
+            assert_eq!(q.peek_time(), Some(t(30)), "{kind}");
             assert_eq!(q.len(), 1);
             assert_eq!(q.pop().map(|e| e.time), Some(t(30)));
             assert!(q.is_empty());
+        }
+    }
+
+    proptest! {
+        /// The timer-wheel backend must pop the exact event sequence of the
+        /// reference `BinaryHeap` backend under arbitrary interleavings of
+        /// schedules, generation-stamp invalidations (note/retire), and
+        /// pops: same events, same times, same tie-breaking, same stale
+        /// drops.
+        #[test]
+        fn wheel_matches_heap_reference(
+            ops in prop::collection::vec((0u8..6, any::<u64>(), any::<u64>(), any::<u64>()), 1..200),
+        ) {
+            let mut wheel = EventQueue::new();
+            let mut heap = EventQueue::reference_heap();
+            // The wheel cannot schedule into the past. Its time frontier is
+            // the last popped event — including events dropped as stale
+            // inside `pop`, so after a `pop` that returns `None` the
+            // frontier may sit at the latest timestamp ever scheduled.
+            let mut now = 0u64;
+            let mut high = 0u64;
+            let ctr = |a: u64, b: u64| ContainerId::from_parts((a % 4) as u32, (b % 8) as u32);
+            for (op, a, b, c) in ops {
+                match op {
+                    // Schedule one event of every kind, at spreads from
+                    // "this very microsecond" to minutes out (crossing
+                    // several wheel levels).
+                    0..=2 => {
+                        let time = Instant::from_micros(now + a % 100_000_000);
+                        high = high.max(time.as_micros());
+                        let kind = match b % 5 {
+                            0 => EventKind::Arrival { function: FunctionId::new((c % 6) as u32) },
+                            1 => EventKind::InitComplete { container: ctr(b, c), epoch: a % 4 },
+                            2 => EventKind::ExecComplete { container: ctr(b, c) },
+                            3 => EventKind::IdleTimeout { container: ctr(b, c), epoch: a % 4 },
+                            _ => EventKind::PrewarmFire { function: FunctionId::new((c % 6) as u32) },
+                        };
+                        wheel.push(time, kind);
+                        heap.push(time, kind);
+                    }
+                    // Invalidate stale epochs / whole containers.
+                    3 => {
+                        wheel.note(ctr(a, b), c % 5);
+                        heap.note(ctr(a, b), c % 5);
+                    }
+                    4 => {
+                        wheel.retire(ctr(a, b));
+                        heap.retire(ctr(a, b));
+                    }
+                    // Pop a few from both and compare exactly.
+                    _ => {
+                        for _ in 0..=(b % 3) {
+                            let (x, y) = (wheel.pop(), heap.pop());
+                            prop_assert_eq!(&x, &y);
+                            match x {
+                                Some(e) => now = e.time.as_micros(),
+                                None => {
+                                    now = high;
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                }
+                // The wheel may discard stale events mid-cascade, before
+                // the heap's pop-time filter would; its len can only run
+                // at or below the heap's. The slack is exactly the stale
+                // drops each backend has already counted: `len +
+                // stale_dropped` is a conserved quantity across backends.
+                prop_assert!(wheel.len() <= heap.len());
+                prop_assert_eq!(
+                    wheel.len() as u64 + wheel.stale_dropped(),
+                    heap.len() as u64 + heap.stale_dropped(),
+                    "live + stale-dropped must be conserved across backends"
+                );
+            }
+            // Drain both to the end: the full remaining sequences agree.
+            loop {
+                let (x, y) = (wheel.pop(), heap.pop());
+                prop_assert_eq!(&x, &y);
+                if x.is_none() {
+                    break;
+                }
+            }
+            prop_assert!(wheel.is_empty() && heap.is_empty());
+            prop_assert_eq!(wheel.stale_dropped(), heap.stale_dropped());
+        }
+
+        /// `pop_tick` must drain each timestamp's events in the exact order
+        /// per-event `pop` yields them, on both backends, under arbitrary
+        /// interleavings of the three sequence bands (arrival, runtime,
+        /// ladder) at shared ticks.
+        #[test]
+        fn pop_tick_same_tick_order_matches_per_event_pops(
+            ops in prop::collection::vec((0u8..4, 0u64..40, any::<u64>()), 1..120),
+        ) {
+            let mut queues: Vec<EventQueue> = vec![
+                EventQueue::new(),
+                EventQueue::reference_heap(),
+                EventQueue::new(),
+                EventQueue::reference_heap(),
+            ];
+            for (op, t, x) in ops {
+                // Coarse timestamps force heavy tick sharing.
+                let time = Instant::from_micros(t * 1_000);
+                for q in &mut queues {
+                    match op {
+                        0 => q.push_arrival(time, FunctionId::new((x % 5) as u32)),
+                        1 => q.push(time, EventKind::ExecComplete {
+                            container: ContainerId::from_parts((x % 3) as u32, 0),
+                        }),
+                        2 => q.push(time, EventKind::IdleTimeout {
+                            container: ContainerId::from_parts((x % 3) as u32, 0),
+                            epoch: 0,
+                        }),
+                        _ => q.push_ladder(time, EventKind::LadderWake),
+                    }
+                }
+            }
+            let (batch_queues, pop_queues) = queues.split_at_mut(2);
+            for (bq, pq) in batch_queues.iter_mut().zip(pop_queues.iter_mut()) {
+                let mut batch = Vec::new();
+                while let Some(tick) = bq.pop_tick(&mut batch) {
+                    for event in &batch {
+                        prop_assert_eq!(event.time, tick);
+                        let popped = pq.pop().expect("reference queue has the event");
+                        prop_assert_eq!(&popped, event);
+                    }
+                }
+                prop_assert!(pq.pop().is_none());
+            }
         }
     }
 }

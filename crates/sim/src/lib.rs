@@ -13,7 +13,12 @@
 //! * concurrency-dependent inter-transition overheads (Fig. 13); and
 //! * the checkpoint/restore extension of §7.8.
 //!
-//! The entry point is [`engine::run`]:
+//! There are two entry points, both on the engine's single dispatch
+//! path: [`run`] replays a materialized
+//! [`Trace`](rainbowcake_trace::Trace), and [`run_streaming_with_profile`]
+//! pulls arrivals from any sorted stream (memory independent of trace
+//! length) and also reports a per-event-kind [`EngineProfile`].
+//! [`cluster`] shards a run across workers.
 //!
 //! ```
 //! use rainbowcake_core::rainbow::RainbowCake;
@@ -43,8 +48,8 @@ pub mod event;
 pub mod pool;
 pub mod tiered;
 
-pub use config::{CheckpointConfig, DispatchMode, SimConfig, TimerMode};
-pub use engine::{
-    run, run_streaming, run_streaming_counted, run_streaming_with_profile, run_with_profile,
-    EngineProfile,
-};
+#[cfg(test)]
+mod oracle;
+
+pub use config::{CheckpointConfig, SimConfig};
+pub use engine::{run, run_streaming_with_profile, EngineProfile};
