@@ -1,8 +1,8 @@
 //! Million-invocation stress run: drives a large synthesized
 //! multi-worker trace through all six §7.1 policies and records engine
 //! throughput plus per-policy peak-memory growth into the
-//! `BENCH_<seq>.json` artifact series (schema `rainbowcake-stress/5`;
-//! `/1`–`/4` artifacts are still readable as perf baselines).
+//! `BENCH_<seq>.json` artifact series (schema `rainbowcake-stress/6`;
+//! `/1`–`/5` artifacts are still readable as perf baselines).
 //!
 //! Schema `/4` additions: every policy row carries the History
 //! Recorder's query counters (`history`: rate queries, compound-scope
@@ -21,6 +21,14 @@
 //! dispatched, counted by the shards with zero clock reads) and
 //! `events_per_invocation` — the timer-pressure figure the lazy
 //! downgrade path exists to shrink.
+//!
+//! Schema `/6` renames: the throughput fields count completed
+//! invocations, not engine events, so `events_per_s` became `inv_per_s`
+//! and `calibrated_events_per_s` became `calibrated_inv_per_s` (in the
+//! policy rows and in the scaling section). Every policy row also
+//! carries `route_cpu_s`, the router thread's CPU time, next to
+//! `route_s`, which times the router's whole blocked lifetime and so
+//! tracks the slowest shard rather than the routing work.
 //!
 //! The trace is never materialized: each policy run consumes the
 //! Azure-like workload from its compact per-minute series through
@@ -56,8 +64,8 @@
 //!   the process RSS stays flat — the guard for the streaming
 //!   pipeline's O(1)-memory claim (`--smoke --hours 96` in CI).
 //!
-//! Besides wall-clock `events_per_s`, every row records
-//! `calibrated_events_per_s` = completed / max(router CPU s, slowest
+//! Besides wall-clock `inv_per_s`, every row records
+//! `calibrated_inv_per_s` = completed / max(router CPU s, slowest
 //! shard CPU s): the throughput the pipeline sustains once every shard
 //! thread has a core of its own. On a machine with >= shards cores the
 //! two numbers converge; on the 1-core CI box the wall figure
@@ -229,9 +237,15 @@ fn print_profile(name: &str, profile: &EngineProfile) {
     }
 }
 
-/// Per-policy events/s from the newest `BENCH_<seq>.json` artifact in
-/// `dir` carrying the stress schema, if any.
-fn baseline_events_per_s(dir: &str) -> Option<(String, Vec<(String, f64)>)> {
+/// The stress schema version this binary writes;
+/// [`baseline_inv_per_s`] reads it and every older one.
+const STRESS_SCHEMA: u32 = 6;
+
+/// Per-policy completed invocations/s from the newest `BENCH_<seq>.json`
+/// artifact in `dir` carrying a stress schema, if any. Schema `/6`
+/// names the field `inv_per_s`; `/1`–`/5` called the same figure
+/// `events_per_s`.
+fn baseline_inv_per_s(dir: &str) -> Option<(String, Vec<(String, f64)>)> {
     let existing: Vec<String> = (1..10_000)
         .map(|i| format!("{dir}/BENCH_{i:04}.json"))
         .filter(|p| std::path::Path::new(p).exists())
@@ -240,23 +254,28 @@ fn baseline_events_per_s(dir: &str) -> Option<(String, Vec<(String, f64)>)> {
         let Ok(text) = std::fs::read_to_string(&path) else {
             continue;
         };
-        let known_schema =
-            (1..=5).any(|v| text.contains(&format!("\"schema\":\"rainbowcake-stress/{v}\"")));
-        if !known_schema {
+        let Some(version) = (1..=STRESS_SCHEMA)
+            .find(|v| text.contains(&format!("\"schema\":\"rainbowcake-stress/{v}\"")))
+        else {
             continue;
-        }
+        };
+        let field = if version >= 6 {
+            "\"inv_per_s\":"
+        } else {
+            "\"events_per_s\":"
+        };
         let mut rows = Vec::new();
         for chunk in text.split("{\"name\":\"").skip(1) {
             let Some(name) = chunk.split('"').next() else {
                 continue;
             };
-            let eps = chunk
-                .split("\"events_per_s\":")
+            let ips = chunk
+                .split(field)
                 .nth(1)
                 .and_then(|rest| rest.split([',', '}']).next())
                 .and_then(|num| num.trim().parse::<f64>().ok());
-            if let Some(eps) = eps {
-                rows.push((name.to_string(), eps));
+            if let Some(ips) = ips {
+                rows.push((name.to_string(), ips));
             }
         }
         if !rows.is_empty() {
@@ -266,7 +285,7 @@ fn baseline_events_per_s(dir: &str) -> Option<(String, Vec<(String, f64)>)> {
     None
 }
 
-/// Fraction of a policy's recorded events/s it must reach in the CI
+/// Fraction of a policy's recorded invocations/s it must reach in the CI
 /// perf smoke. Applied per policy, so a regression localized to one
 /// backend (e.g. only RainbowCake's layer-scoring path) trips CI even
 /// when the cheap baselines still sail past a shared floor.
@@ -274,13 +293,15 @@ const PERF_FLOOR_RATIO: f64 = 0.6;
 
 /// Per-policy throughput floors against the committed stress artifact:
 /// every policy must reach [`PERF_FLOOR_RATIO`] of its recorded
-/// events/s on a scaled-down trace, so a future change can't silently
+/// invocations/s on a scaled-down trace, so a future change can't silently
 /// re-quadratify the eviction path without tripping CI. All violations
 /// are collected and reported together before failing.
 fn perf_smoke(shards: usize) {
     let dir = std::env::var("PERF_BASELINE_DIR").unwrap_or_else(|_| ".".to_string());
-    let Some((path, baseline)) = baseline_events_per_s(&dir) else {
-        println!("perf smoke: no rainbowcake-stress/{{1..5}} artifact found, skipping");
+    let Some((path, baseline)) = baseline_inv_per_s(&dir) else {
+        println!(
+            "perf smoke: no rainbowcake-stress/{{1..{STRESS_SCHEMA}}} artifact found, skipping"
+        );
         return;
     };
     if cfg!(debug_assertions) {
@@ -303,7 +324,7 @@ fn perf_smoke(shards: usize) {
         ..SimConfig::default()
     };
     let mut violations = Vec::new();
-    for (name, base_eps) in &baseline {
+    for (name, base_ips) in &baseline {
         // Best of two: absorbs one-off cache/alloc warmup noise.
         let mut best = 0.0f64;
         for _ in 0..2 {
@@ -312,14 +333,14 @@ fn perf_smoke(shards: usize) {
             let completed = sharded.report.completed();
             best = best.max(completed as f64 / t0.elapsed().as_secs_f64());
         }
-        let floor = PERF_FLOOR_RATIO * base_eps;
+        let floor = PERF_FLOOR_RATIO * base_ips;
         if best < floor {
             violations.push(format!(
-                "{name}: {best:.0} events/s is below its floor {floor:.0} \
-                 ({PERF_FLOOR_RATIO} x the recorded {base_eps:.0})"
+                "{name}: {best:.0} inv/s is below its floor {floor:.0} \
+                 ({PERF_FLOOR_RATIO} x the recorded {base_ips:.0})"
             ));
         }
-        println!("perf smoke {name}: {best:.0} events/s (floor {floor:.0})");
+        println!("perf smoke {name}: {best:.0} inv/s (floor {floor:.0})");
     }
     assert!(
         violations.is_empty(),
@@ -538,9 +559,12 @@ struct PolicyRow {
     completed: usize,
     cold: usize,
     wall_s: f64,
-    events_per_s: f64,
-    calibrated_events_per_s: f64,
+    inv_per_s: f64,
+    calibrated_inv_per_s: f64,
+    /// The router thread's blocked lifetime, wall clock.
     route_s: f64,
+    /// The router thread's CPU time: the routing work itself.
+    route_cpu_s: f64,
     merge_s: f64,
     shard_cpu_s: Vec<f64>,
     rss_delta_kb: u64,
@@ -569,16 +593,17 @@ impl PolicyRow {
         let cpus: Vec<String> = self.shard_cpu_s.iter().map(|&c| fmt_f64(c)).collect();
         format!(
             "{{\"name\":{},\"completed\":{},\"cold_starts\":{},\"wall_s\":{},\
-             \"events_per_s\":{},\"calibrated_events_per_s\":{},\"route_s\":{},\
-             \"merge_s\":{},\"shard_cpu_s\":[{}],\"rss_delta_kb\":{},\"history\":{},\
+             \"inv_per_s\":{},\"calibrated_inv_per_s\":{},\"route_s\":{},\
+             \"route_cpu_s\":{},\"merge_s\":{},\"shard_cpu_s\":[{}],\"rss_delta_kb\":{},\"history\":{},\
              \"events\":{},\"events_per_invocation\":{}}}",
             escape_str(self.name),
             self.completed,
             self.cold,
             fmt_f64(self.wall_s),
-            fmt_f64(self.events_per_s),
-            fmt_f64(self.calibrated_events_per_s),
+            fmt_f64(self.inv_per_s),
+            fmt_f64(self.calibrated_inv_per_s),
             fmt_f64(self.route_s),
+            fmt_f64(self.route_cpu_s),
             fmt_f64(self.merge_s),
             cpus.join(","),
             self.rss_delta_kb,
@@ -632,9 +657,10 @@ fn measure_policy(
         completed,
         cold,
         wall_s,
-        events_per_s: completed as f64 / wall_s,
-        calibrated_events_per_s: completed as f64 / critical.max(1e-9),
+        inv_per_s: completed as f64 / wall_s,
+        calibrated_inv_per_s: completed as f64 / critical.max(1e-9),
         route_s: sharded.route_s,
+        route_cpu_s: sharded.route_cpu_s,
         merge_s,
         shard_cpu_s: sharded.shard_cpu_s,
         rss_delta_kb,
@@ -720,16 +746,17 @@ fn main() {
         );
         println!(
             "  {name}: {} invocations in {:.2} s ({:.0} inv/s wall, {:.0} inv/s \
-             calibrated), {} cold starts, {} events ({:.2}/inv), route {:.2} s, \
-             merge {:.3} s, +{} kB peak RSS",
+             calibrated), {} cold starts, {} events ({:.2}/inv), route {:.2} s \
+             ({:.2} s CPU), merge {:.3} s, +{} kB peak RSS",
             row.completed,
             row.wall_s,
-            row.events_per_s,
-            row.calibrated_events_per_s,
+            row.inv_per_s,
+            row.calibrated_inv_per_s,
             row.cold,
             row.events,
             row.events_per_invocation,
             row.route_s,
+            row.route_cpu_s,
             row.merge_s,
             row.rss_delta_kb
         );
@@ -764,9 +791,9 @@ fn main() {
         println!(
             "  scaling RainbowCake: 1 shard {:.0} inv/s calibrated, {shards} shards \
              {:.0} inv/s calibrated ({:.2}x)",
-            one.calibrated_events_per_s,
-            many.calibrated_events_per_s,
-            many.calibrated_events_per_s / one.calibrated_events_per_s
+            one.calibrated_inv_per_s,
+            many.calibrated_inv_per_s,
+            many.calibrated_inv_per_s / one.calibrated_inv_per_s
         );
         // Streaming-scale evidence: push the same pipeline past 10^8
         // invocations (RainbowCake only) and record that peak RSS stays
@@ -801,8 +828,8 @@ fn main() {
             "  scaling RainbowCake streaming: {} invocations at {:.0} inv/s wall \
              ({:.0} calibrated), peak RSS {} MB",
             mega.completed,
-            mega.events_per_s,
-            mega.calibrated_events_per_s,
+            mega.inv_per_s,
+            mega.calibrated_inv_per_s,
             mega_rss / 1024
         );
         assert!(
@@ -813,22 +840,22 @@ fn main() {
         format!(
             ",\"scaling\":{{\"policy\":\"RainbowCake\",\"points\":[{},{}],\
              \"streaming\":{{\"shards\":{shards},\"invocations\":{},\
-             \"rate_scale\":{},\"events_per_s\":{},\"calibrated_events_per_s\":{},\
+             \"rate_scale\":{},\"inv_per_s\":{},\"calibrated_inv_per_s\":{},\
              \"peak_rss_kb\":{}}}}}",
             format_args!(
-                "{{\"shards\":1,\"events_per_s\":{},\"calibrated_events_per_s\":{}}}",
-                fmt_f64(one.events_per_s),
-                fmt_f64(one.calibrated_events_per_s)
+                "{{\"shards\":1,\"inv_per_s\":{},\"calibrated_inv_per_s\":{}}}",
+                fmt_f64(one.inv_per_s),
+                fmt_f64(one.calibrated_inv_per_s)
             ),
             format_args!(
-                "{{\"shards\":{shards},\"events_per_s\":{},\"calibrated_events_per_s\":{}}}",
-                fmt_f64(many.events_per_s),
-                fmt_f64(many.calibrated_events_per_s)
+                "{{\"shards\":{shards},\"inv_per_s\":{},\"calibrated_inv_per_s\":{}}}",
+                fmt_f64(many.inv_per_s),
+                fmt_f64(many.calibrated_inv_per_s)
             ),
             mega.completed,
             fmt_f64(mega_azure.rate_scale),
-            fmt_f64(mega.events_per_s),
-            fmt_f64(mega.calibrated_events_per_s),
+            fmt_f64(mega.inv_per_s),
+            fmt_f64(mega.calibrated_inv_per_s),
             mega_rss,
         )
     } else {
@@ -837,7 +864,7 @@ fn main() {
 
     let row_json: Vec<String> = rows.iter().map(|r| r.to_json()).collect();
     let json = format!(
-        "{{\"schema\":\"rainbowcake-stress/5\",\"shards\":{shards},\
+        "{{\"schema\":\"rainbowcake-stress/{STRESS_SCHEMA}\",\"shards\":{shards},\
          \"hours\":{},\"rate_scale\":{},\"timer_mode\":\"lazy\",\
          \"invocations\":{total},\"router\":\"Locality+Sharing+Load\",\
          \"peak_rss_kb\":{}{scaling},\"policies\":[{}]}}\n",

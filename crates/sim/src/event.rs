@@ -19,16 +19,15 @@
 use std::cmp::Ordering;
 #[cfg(test)]
 use std::collections::BinaryHeap;
-use std::collections::VecDeque;
 
 use rainbowcake_core::time::Instant;
 use rainbowcake_core::types::{ContainerId, FunctionId};
 
 /// Everything that can happen in the simulated platform.
 ///
-/// Kinds are plain value types (`Copy`), so draining a whole tick into
-/// a reusable scratch buffer recycles allocations trivially — the
-/// buffer's capacity is the only heap state involved.
+/// Kinds are plain value types (`Copy`), so the queue can hand whole
+/// buffers of events around by swapping them — a buffer's capacity is
+/// the only heap state involved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// An invocation of `function` arrives.
@@ -117,7 +116,9 @@ impl PartialOrd for Event {
 
 /// Bits of the slot index at each wheel level.
 const SLOT_BITS: u32 = 6;
-/// Slots per wheel level.
+/// Slots per wheel level — and the largest capacity, in events, of an
+/// emptied slot buffer the wheel keeps for reuse (see
+/// [`Wheel::recycle`]).
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Wheel levels. 11 levels of 6 bits cover 66 bits — the entire `u64`
 /// microsecond range — so no separate overflow list is needed.
@@ -150,12 +151,15 @@ impl Level {
 ///   differs from `cursor`, in the slot named by its own group value.
 ///
 /// Pushes are O(1); each event cascades down at most `LEVELS - 1` times
-/// before popping, so pops are amortized O(`LEVELS`).
+/// before popping, so pops are amortized O(`LEVELS`). Emptied slot
+/// buffers are kept for reuse and a tick moves between buffers by swap
+/// rather than by copy, so in steady state pushes and pops rarely touch
+/// the allocator (DESIGN.md §7).
 #[derive(Debug)]
 struct Wheel {
     levels: Vec<Level>,
     /// Events firing at exactly `cursor`, in seq order.
-    current: VecDeque<Event>,
+    current: Vec<Event>,
     /// The current simulation time frontier in microseconds.
     cursor: u64,
 }
@@ -164,7 +168,7 @@ impl Wheel {
     fn new() -> Self {
         Wheel {
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            current: VecDeque::new(),
+            current: Vec::new(),
             cursor: 0,
         }
     }
@@ -193,7 +197,7 @@ impl Wheel {
     #[cfg(test)]
     fn pop(&mut self, stamps: &[Stamp], len: &mut usize, dropped: &mut u64) -> Option<Event> {
         if self.advance_to_head(stamps, len, dropped) {
-            self.current.pop_front()
+            Some(self.current.remove(0))
         } else {
             None
         }
@@ -222,18 +226,23 @@ impl Wheel {
             let Some(level) = (0..LEVELS).find(|&l| self.levels[l].occupied != 0) else {
                 return false;
             };
-            let slot = self.levels[level].occupied.trailing_zeros();
+            let slot = self.levels[level].occupied.trailing_zeros() as usize;
             let mut drained = {
                 let lvl = &mut self.levels[level];
                 lvl.occupied &= !(1 << slot);
-                std::mem::take(&mut lvl.slots[slot as usize])
+                std::mem::take(&mut lvl.slots[slot])
             };
             let shift = SLOT_BITS * level as u32;
             if level == 0 {
                 // A level-0 slot holds a single exact timestamp: all
-                // its events fire now, FIFO by sequence number. Within
-                // a slot events are already pushed in ascending seq, so
-                // this sort is a (cheap, already-sorted) safety net.
+                // its events fire now, FIFO by sequence number. The
+                // sort is load-bearing: runtime pushes arrive in
+                // ascending seq, but when no arrival is queued the
+                // engine feeds the next one unconditionally, and that
+                // low-band arrival can land behind a runtime event
+                // already waiting in this slot for the same
+                // microsecond. On the usual already-sorted slot it is
+                // one linear pass.
                 self.cursor = (self.cursor & !(SLOTS as u64 - 1)) | slot as u64;
                 drained.retain(|e| {
                     let keep = !stale(stamps, e);
@@ -242,7 +251,10 @@ impl Wheel {
                     keep
                 });
                 drained.sort_unstable_by_key(|e| e.seq);
-                self.current.extend(drained);
+                // `current` is empty here: the slot's buffer becomes
+                // the tick whole, and `current`'s spare buffer goes
+                // back to the slot.
+                std::mem::swap(&mut self.current, &mut drained);
             } else {
                 // Advance the cursor into this slot's window and
                 // cascade its events down to finer levels.
@@ -250,7 +262,7 @@ impl Wheel {
                     .checked_shl(shift + SLOT_BITS)
                     .map_or(u64::MAX, |v| v - 1);
                 self.cursor = (self.cursor & !low_mask) | ((slot as u64) << shift);
-                for event in drained {
+                for event in drained.drain(..) {
                     if stale(stamps, &event) {
                         *len -= 1;
                         *dropped += 1;
@@ -259,6 +271,27 @@ impl Wheel {
                     }
                 }
             }
+            self.recycle(level, slot, drained);
+        }
+    }
+
+    /// Hands an empty buffer back to the slot `level`/`slot` just
+    /// drained, so the next events pushed there reuse its capacity
+    /// instead of allocating. Only buffers of at most [`SLOTS`] events
+    /// are kept: the coarse levels briefly hold thousands of
+    /// minutes-out keep-alive timers, and keeping those buffers would
+    /// pin their peak size for the rest of the run — a level-5 slot
+    /// comes round again only every 19 hours (DESIGN.md §7).
+    fn recycle(&mut self, level: usize, slot: usize, buffer: Vec<Event>) {
+        debug_assert!(buffer.is_empty());
+        let home = &mut self.levels[level].slots[slot];
+        // The cursor sits inside this slot's window, and no push can
+        // target the slot holding the cursor: an event in the window
+        // differs from the cursor only in finer groups (or not at all),
+        // so it lands at a lower level or in `current`.
+        debug_assert!(home.is_empty(), "pushed into the slot being drained");
+        if buffer.capacity() <= SLOTS {
+            *home = buffer;
         }
     }
 }
@@ -438,10 +471,10 @@ impl EventQueue {
             }
             let event = *wheel
                 .current
-                .front()
+                .first()
                 .expect("advance_to_head returned true");
             if stale(stamps, &event) {
-                wheel.current.pop_front();
+                wheel.current.remove(0);
                 *len -= 1;
                 *stale_dropped += 1;
                 continue;
@@ -483,8 +516,9 @@ impl EventQueue {
 
     /// Drains every live event at the earliest pending timestamp into
     /// `out` (cleared first), in FIFO (`seq`) order, and returns that
-    /// timestamp. `out` is a caller-owned scratch buffer so its
-    /// capacity is recycled across ticks.
+    /// timestamp. `out` is a caller-owned scratch buffer: the tick is
+    /// swapped into it whole, and its old buffer becomes the wheel's
+    /// next spare, so the same few buffers circulate across ticks.
     ///
     /// Popping a whole tick is observably identical to popping the same
     /// events one at a time: the batch is exactly the pending events at
@@ -514,15 +548,15 @@ impl EventQueue {
                 return None;
             }
             // Wheel invariant: `current` holds exactly the events at
-            // the head tick, seq-sorted.
-            for event in wheel.current.drain(..) {
-                *len -= 1;
-                if stale(stamps, &event) {
-                    *stale_dropped += 1;
-                } else {
-                    out.push(event);
-                }
-            }
+            // the head tick, seq-sorted. Swap them out whole; `out`'s
+            // cleared buffer becomes the empty `current`.
+            std::mem::swap(out, &mut wheel.current);
+            *len -= out.len();
+            out.retain(|e| {
+                let keep = !stale(stamps, e);
+                *stale_dropped += u64::from(!keep);
+                keep
+            });
         }
         Some(out[0].time)
     }
@@ -544,6 +578,16 @@ impl EventQueue {
     /// happen — the conservation law the wheel-vs-heap proptest checks.
     pub fn stale_dropped(&self) -> u64 {
         self.stale_dropped
+    }
+}
+
+#[cfg(test)]
+impl Wheel {
+    /// The capacity, in events, of every slot buffer on every level.
+    fn slot_capacities(&self) -> impl Iterator<Item = usize> + '_ {
+        self.levels
+            .iter()
+            .flat_map(|l| l.slots.iter().map(Vec::capacity))
     }
 }
 
@@ -1089,6 +1133,50 @@ mod tests {
             assert_eq!(q.len(), 1);
             assert_eq!(q.pop().map(|e| e.time), Some(t(30)));
             assert!(q.is_empty());
+        }
+    }
+
+    #[test]
+    fn drained_slot_buffers_above_the_cap_are_freed() {
+        // A burst of 10-minute keep-alive timers at one instant passes
+        // through one slot per coarse level on its way down. Those
+        // buffers grow to the whole burst; none may outlive the drain.
+        let mut q = EventQueue::new();
+        let far = 600_000_000;
+        for i in 0..10_000u32 {
+            q.push(t(far), prewarm(i));
+        }
+        let mut batch = Vec::new();
+        assert_eq!(q.pop_tick(&mut batch), Some(t(far)));
+        assert_eq!(batch.len(), 10_000);
+        let largest = q.wheel.slot_capacities().max().unwrap();
+        assert!(largest <= SLOTS, "a slot kept a {largest}-event buffer");
+    }
+
+    #[test]
+    fn level0_slot_buffers_are_reused_across_ticks() {
+        // Every cycle a burst lands at offset 5 of the next 64 µs
+        // window: it waits at level 1, cascades into level-0 slot 5 and
+        // drains. Once the few buffers the wheel circulates have grown
+        // to a burst, slot 5 comes out of every drain with that
+        // capacity intact, so refilling it allocates nothing.
+        const BURST: u32 = 8;
+        const WARM_UP: u64 = 3;
+        let mut q = EventQueue::new();
+        let mut batch = Vec::new();
+        let mut kept = None;
+        for cycle in 1..=20u64 {
+            let at = cycle * SLOTS as u64 + 5;
+            for i in 0..BURST {
+                q.push(t(at), prewarm(i));
+            }
+            assert_eq!(q.pop_tick(&mut batch), Some(t(at)));
+            assert_eq!(batch.len(), BURST as usize);
+            let capacity = q.wheel.levels[0].slots[5].capacity();
+            if cycle >= WARM_UP {
+                assert!(capacity >= BURST as usize, "cycle {cycle}: {capacity}");
+                assert_eq!(*kept.get_or_insert(capacity), capacity, "cycle {cycle}");
+            }
         }
     }
 
