@@ -217,6 +217,9 @@ impl Instant {
     /// The origin of the simulation clock.
     pub const ZERO: Instant = Instant(0);
 
+    /// The latest representable instant.
+    pub const MAX: Instant = Instant(u64::MAX);
+
     /// Creates an instant a given number of microseconds after the origin.
     pub const fn from_micros(us: u64) -> Self {
         Instant(us)

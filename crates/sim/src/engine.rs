@@ -10,10 +10,11 @@
 //! reuse eligibility, victims, pre-warm targets) is delegated to the
 //! policy, mirroring the OpenWhisk split described in §6.
 //!
-//! There is one dispatch path: arrivals are fed lazily from a sorted
-//! stream, the timer wheel is drained a tick at a time, and each tick is
-//! dispatched in grouped runs of same-kind events, with ladder
-//! keep-alive schedules settled lazily (DESIGN.md §7, §9, §12).
+//! There is one dispatch path: arrivals are merged straight from a
+//! sorted stream with the timer wheel's ticks, the wheel is drained a
+//! tick at a time, and each tick is dispatched in grouped runs of
+//! same-kind events, with ladder keep-alive schedules settled lazily
+//! (DESIGN.md §7, §9, §12).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -89,11 +90,10 @@ pub fn run(
 /// and is clipped to `horizon` exactly as `from_arrivals` clips.
 ///
 /// The report is **byte-identical** to materializing the same arrivals
-/// into a `Trace` and calling [`run`]: arrivals draw sequence numbers
-/// from the queue's low band (see `EventQueue::push_arrival`), so at
-/// any tick they sort before every runtime event no matter how late
-/// they were fed. Timing adds one clock read per grouped run of
-/// same-kind events.
+/// into a `Trace` and calling [`run`]: both take the same dispatch loop,
+/// which never queues an arrival but dispatches each tick's arrivals,
+/// in stream order, ahead of its runtime events. Timing adds one clock
+/// read per grouped run of same-kind events.
 pub fn run_streaming_with_profile(
     catalog: &Catalog,
     policy: &mut dyn Policy,
@@ -125,7 +125,9 @@ pub(crate) fn run_streaming_counted(
 /// The reference behaviours the engine is pinned against, selectable
 /// only from this crate's unit tests. Each is a second implementation
 /// of the production path's semantics; the oracle tests require every
-/// combination to reproduce the production report bytes.
+/// combination to reproduce the production report bytes. The heap and
+/// per-event references also push the whole trace into the queue up
+/// front instead of merging arrivals from the stream.
 #[cfg(test)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Oracle {
@@ -172,10 +174,13 @@ pub(crate) fn run_oracle(
     engine.run_profiled(trace.iter().copied(), EngineProfile::counting())
 }
 
+/// [`kind_rank`] of [`EventKind::Arrival`].
+const ARRIVAL_RANK: usize = 0;
+
 /// Index of an event kind in [`EngineProfile`]'s arrays.
 fn kind_rank(kind: &EventKind) -> usize {
     match kind {
-        EventKind::Arrival { .. } => 0,
+        EventKind::Arrival { .. } => ARRIVAL_RANK,
         EventKind::InitComplete { .. } => 1,
         EventKind::ExecComplete { .. } => 2,
         EventKind::IdleTimeout { .. } => 3,
@@ -270,10 +275,6 @@ struct Engine<'a> {
     /// while memory pressure holds invocations back.
     wake_armed: Option<Instant>,
     pending: VecDeque<QueuedInvocation>,
-    /// Arrival events currently in the queue. The feed loop keeps this
-    /// positive while unfed arrivals remain, so the queue head always
-    /// bounds the next arrival's time (see `run_loop`).
-    arrivals_in_queue: usize,
     horizon: Instant,
     first_arrival: Vec<Option<Instant>>,
     /// First catalog profile per language (downgrade-footprint anchor),
@@ -333,7 +334,6 @@ impl<'a> Engine<'a> {
             settle_seq: 0,
             wake_armed: None,
             pending: VecDeque::new(),
-            arrivals_in_queue: 0,
             horizon: Instant::ZERO + horizon,
             first_arrival: vec![None; catalog.len()],
             anchor_by_lang,
@@ -367,24 +367,19 @@ impl<'a> Engine<'a> {
         (report, profile)
     }
 
-    /// The dispatch loop: interleaves feeding arrivals from a lazy
-    /// iterator with draining the earliest tick into a reusable scratch
-    /// buffer and dispatching it in grouped runs (see
-    /// [`Self::dispatch_batch`]). With `profile` set, each grouped run
-    /// is counted into the per-kind breakdown, and timed unless the
+    /// The dispatch loop: merges the sorted arrival stream with the
+    /// event queue one tick at a time. The next unfed arrival bounds the
+    /// queue's advance (`EventQueue::pop_tick_until`), so the dispatched
+    /// tick is the earlier of that arrival and the queue head, and
+    /// arrivals never enter the queue. A tick runs in three steps: its
+    /// queued events are drained first, so the stamp filter sees the
+    /// pool as the previous tick left it; then its arrivals run, in
+    /// stream order; then the drained events (see
+    /// [`Self::dispatch_batch`]). That is the order of pushing every
+    /// arrival up front into a seq band below every runtime event, which
+    /// the oracle tests check against. With `profile` set, each grouped
+    /// run is counted into the per-kind breakdown, and timed unless the
     /// profile is counts-only.
-    ///
-    /// Correctness invariant: before every `peek_time` the earliest
-    /// unfed arrival's time is at or above the queue head, so the
-    /// wheel's cursor advance can never pass an unfed arrival. It holds
-    /// because (a) whenever no arrival event is in the queue, the next
-    /// arrival is pushed unconditionally (its time is above the last
-    /// dispatched tick, hence above the cursor), and (b) when one *is*
-    /// in the queue, the head is at or below that arrival's time and
-    /// unfed arrivals — sorted — are at or above it. After peeking, the
-    /// feed loop pulls in every arrival at or before the head, so the
-    /// dispatched tick sees exactly the arrivals an up-front push would
-    /// have given it.
     fn run_loop(
         &mut self,
         arrivals: impl Iterator<Item = Arrival>,
@@ -393,40 +388,85 @@ impl<'a> Engine<'a> {
         let horizon = self.horizon;
         // Clip exactly as `Trace::from_arrivals` clips; the stream is
         // time-sorted, so everything past the first late arrival is out.
-        let mut arrivals = arrivals.take_while(|a| a.time <= horizon).peekable();
+        let mut arrivals = arrivals.take_while(|a| a.time <= horizon);
+        #[cfg(test)]
+        if self.oracle.heap_queue || self.oracle.per_event {
+            return self.run_loop_up_front(arrivals, profile);
+        }
         let mut batch: Vec<Event> = Vec::new();
+        let mut next = arrivals.next();
         loop {
-            if self.arrivals_in_queue == 0 {
-                if let Some(a) = arrivals.next() {
-                    self.events.push_arrival(a.time, a.function);
-                    self.arrivals_in_queue += 1;
-                }
-            }
-            let Some(head) = self.events.peek_time() else {
-                debug_assert!(arrivals.peek().is_none(), "unfed arrivals but empty queue");
+            let limit = next.map_or(Instant::MAX, |a| a.time);
+            let head = self.events.pop_tick_until(limit, &mut batch);
+            let Some(tick) = head.or(next.map(|a| a.time)) else {
                 break;
             };
-            while arrivals.peek().is_some_and(|a| a.time <= head) {
-                let a = arrivals.next().expect("peeked arrival exists");
-                self.events.push_arrival(a.time, a.function);
-                self.arrivals_in_queue += 1;
+            debug_assert!(tick >= self.now, "time must not run backwards");
+            self.now = tick;
+            self.settle_due(tick, false);
+            if next.is_some_and(|a| a.time == tick) {
+                self.grouped_run(profile.as_deref_mut(), ARRIVAL_RANK, |engine| {
+                    let mut n = 0;
+                    while let Some(a) = next.filter(|a| a.time == tick) {
+                        engine.handle_arrival(a.function);
+                        n += 1;
+                        next = arrivals.next();
+                    }
+                    n
+                });
             }
-            #[cfg(test)]
-            if self.oracle.per_event {
-                let event = self.events.pop().expect("peeked head exists");
+            self.dispatch_batch(&batch, profile.as_deref_mut());
+        }
+    }
+
+    /// The up-front reference for [`Self::run_loop`]'s stream merge:
+    /// pushes every arrival into the queue's low seq band, then drains
+    /// the queue a tick (or, under `per_event`, an event) at a time, so
+    /// arrivals reach their tick from the queue itself.
+    #[cfg(test)]
+    fn run_loop_up_front(
+        &mut self,
+        arrivals: impl Iterator<Item = Arrival>,
+        mut profile: Option<&mut EngineProfile>,
+    ) {
+        for a in arrivals {
+            self.events.push_arrival(a.time, a.function);
+        }
+        let mut batch: Vec<Event> = Vec::new();
+        if self.oracle.per_event {
+            while let Some(event) = self.events.pop() {
                 if let Some(p) = profile.as_deref_mut() {
                     p.counts[kind_rank(&event.kind)] += 1;
                 }
                 self.dispatch_event(event);
-                continue;
             }
-            let tick = self
-                .events
-                .pop_tick(&mut batch)
-                .expect("peeked head exists");
+            return;
+        }
+        while let Some(tick) = self.events.pop_tick(&mut batch) {
             debug_assert!(tick >= self.now, "time must not run backwards");
             self.now = tick;
+            self.settle_due(tick, false);
             self.dispatch_batch(&batch, profile.as_deref_mut());
+        }
+    }
+
+    /// Runs `run` — one grouped run of same-kind events, returning how
+    /// many it handled — and counts it into `profile` under `rank`,
+    /// timing it unless the profile is counts-only.
+    fn grouped_run(
+        &mut self,
+        profile: Option<&mut EngineProfile>,
+        rank: usize,
+        run: impl FnOnce(&mut Self) -> usize,
+    ) {
+        let Some(p) = profile else {
+            run(self);
+            return;
+        };
+        let t0 = (!p.counting).then(std::time::Instant::now);
+        p.counts[rank] += run(self) as u64;
+        if let Some(t0) = t0 {
+            p.nanos[rank] += t0.elapsed().as_nanos() as u64;
         }
     }
 
@@ -434,13 +474,12 @@ impl<'a> Engine<'a> {
     /// events, so the per-event work is a direct handler call instead of
     /// a queue pop plus an enum match. Handler order is identical to
     /// popping and dispatching one event at a time — see
-    /// `EventQueue::pop_tick` for the argument.
+    /// `EventQueue::pop_tick_until` for the argument.
     ///
-    /// Ladder boundaries strictly before the tick are settled first, so
-    /// every handler observes the pool exactly as the eager per-rung
-    /// chain would have left it.
+    /// The caller settles the ladder boundaries strictly before the tick
+    /// first, so every handler observes the pool exactly as the eager
+    /// per-rung chain would have left it.
     fn dispatch_batch(&mut self, batch: &[Event], mut profile: Option<&mut EngineProfile>) {
-        self.settle_due(self.now, false);
         let mut start = 0;
         while start < batch.len() {
             let rank = kind_rank(&batch[start].kind);
@@ -448,63 +487,65 @@ impl<'a> Engine<'a> {
             while end < batch.len() && kind_rank(&batch[end].kind) == rank {
                 end += 1;
             }
-            let timer = profile
-                .as_deref_mut()
-                .map(|p| ((!p.counting).then(std::time::Instant::now), p));
-            match batch[start].kind {
-                EventKind::Arrival { .. } => {
-                    for event in &batch[start..end] {
-                        let EventKind::Arrival { function } = event.kind else {
-                            unreachable!("grouped run is homogeneous");
-                        };
-                        self.handle_arrival(function);
-                    }
-                }
-                EventKind::InitComplete { .. } => {
-                    for event in &batch[start..end] {
-                        let EventKind::InitComplete { container, epoch } = event.kind else {
-                            unreachable!("grouped run is homogeneous");
-                        };
-                        self.handle_init_complete(container, epoch);
-                    }
-                }
-                EventKind::ExecComplete { .. } => {
-                    for event in &batch[start..end] {
-                        let EventKind::ExecComplete { container } = event.kind else {
-                            unreachable!("grouped run is homogeneous");
-                        };
-                        self.handle_exec_complete(container);
-                    }
-                }
-                EventKind::IdleTimeout { .. } => {
-                    for event in &batch[start..end] {
-                        let EventKind::IdleTimeout { container, epoch } = event.kind else {
-                            unreachable!("grouped run is homogeneous");
-                        };
-                        self.handle_idle_timeout(container, epoch);
-                    }
-                }
-                EventKind::PrewarmFire { .. } => {
-                    for event in &batch[start..end] {
-                        let EventKind::PrewarmFire { function } = event.kind else {
-                            unreachable!("grouped run is homogeneous");
-                        };
-                        self.handle_prewarm_fire(function);
-                    }
-                }
-                EventKind::LadderWake => {
-                    for _ in start..end {
-                        self.handle_ladder_wake();
-                    }
-                }
-            }
-            if let Some((t0, p)) = timer {
-                p.counts[rank] += (end - start) as u64;
-                if let Some(t0) = t0 {
-                    p.nanos[rank] += t0.elapsed().as_nanos() as u64;
-                }
-            }
+            let run = &batch[start..end];
+            self.grouped_run(profile.as_deref_mut(), rank, |engine| {
+                engine.dispatch_run(run);
+                run.len()
+            });
             start = end;
+        }
+    }
+
+    /// Runs the handler of every event in `run`, a non-empty grouped run
+    /// of same-kind events.
+    fn dispatch_run(&mut self, run: &[Event]) {
+        match run[0].kind {
+            // Only the up-front reference queues arrivals.
+            EventKind::Arrival { .. } => {
+                for event in run {
+                    let EventKind::Arrival { function } = event.kind else {
+                        unreachable!("grouped run is homogeneous");
+                    };
+                    self.handle_arrival(function);
+                }
+            }
+            EventKind::InitComplete { .. } => {
+                for event in run {
+                    let EventKind::InitComplete { container, epoch } = event.kind else {
+                        unreachable!("grouped run is homogeneous");
+                    };
+                    self.handle_init_complete(container, epoch);
+                }
+            }
+            EventKind::ExecComplete { .. } => {
+                for event in run {
+                    let EventKind::ExecComplete { container } = event.kind else {
+                        unreachable!("grouped run is homogeneous");
+                    };
+                    self.handle_exec_complete(container);
+                }
+            }
+            EventKind::IdleTimeout { .. } => {
+                for event in run {
+                    let EventKind::IdleTimeout { container, epoch } = event.kind else {
+                        unreachable!("grouped run is homogeneous");
+                    };
+                    self.handle_idle_timeout(container, epoch);
+                }
+            }
+            EventKind::PrewarmFire { .. } => {
+                for event in run {
+                    let EventKind::PrewarmFire { function } = event.kind else {
+                        unreachable!("grouped run is homogeneous");
+                    };
+                    self.handle_prewarm_fire(function);
+                }
+            }
+            EventKind::LadderWake => {
+                for _ in run {
+                    self.handle_ladder_wake();
+                }
+            }
         }
     }
 
@@ -664,7 +705,6 @@ impl<'a> Engine<'a> {
     // ------------------------------------------------------------------
 
     fn handle_arrival(&mut self, f: FunctionId) {
-        self.arrivals_in_queue = self.arrivals_in_queue.saturating_sub(1);
         if self.first_arrival[f.index()].is_none() {
             self.first_arrival[f.index()] = Some(self.now);
         }

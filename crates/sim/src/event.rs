@@ -125,10 +125,16 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const LEVELS: usize = 11;
 
 /// One wheel level: 64 slots plus an occupancy bitmap so the lowest
-/// non-empty slot is a single `trailing_zeros`.
+/// non-empty slot is a single `trailing_zeros`, and each slot's earliest
+/// timestamp so a bounded advance can tell without draining whether the
+/// slot holds anything due.
 #[derive(Debug)]
 struct Level {
     occupied: u64,
+    /// Earliest timestamp filed in each slot since it was last drained
+    /// (`u64::MAX` when empty). Stale events count, so it is a lower
+    /// bound on the slot's live events.
+    earliest: [u64; SLOTS],
     slots: [Vec<Event>; SLOTS],
 }
 
@@ -136,6 +142,7 @@ impl Level {
     fn new() -> Self {
         Level {
             occupied: 0,
+            earliest: [u64::MAX; SLOTS],
             slots: std::array::from_fn(|_| Vec::new()),
         }
     }
@@ -150,11 +157,13 @@ impl Level {
 ///   at the level of the *highest* 6-bit group in which its timestamp
 ///   differs from `cursor`, in the slot named by its own group value.
 ///
-/// Pushes are O(1); each event cascades down at most `LEVELS - 1` times
-/// before popping, so pops are amortized O(`LEVELS`). Emptied slot
-/// buffers are kept for reuse and a tick moves between buffers by swap
-/// rather than by copy, so in steady state pushes and pops rarely touch
-/// the allocator (DESIGN.md §7).
+/// Pushes are O(1). A drain moves the cursor straight to the drained
+/// slot's earliest event, so an event is filed once when pushed and once
+/// more for each drain of a slot it shares with an earlier event —
+/// a lone event goes from its slot to `current` in one step. Emptied
+/// slot buffers are kept for reuse and a tick moves between buffers by
+/// swap rather than by copy, so in steady state pushes and pops rarely
+/// touch the allocator (DESIGN.md §7).
 #[derive(Debug)]
 struct Wheel {
     levels: Vec<Level>,
@@ -162,6 +171,13 @@ struct Wheel {
     current: Vec<Event>,
     /// The current simulation time frontier in microseconds.
     cursor: u64,
+    /// Events placed in a slot or in `current`: every push plus every
+    /// re-filing by a drain.
+    #[cfg(test)]
+    filed: u64,
+    /// Slots drained.
+    #[cfg(test)]
+    drained: u64,
 }
 
 impl Wheel {
@@ -170,19 +186,25 @@ impl Wheel {
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
             current: Vec::new(),
             cursor: 0,
+            #[cfg(test)]
+            filed: 0,
+            #[cfg(test)]
+            drained: 0,
         }
     }
 
     fn push(&mut self, event: Event) {
+        #[cfg(test)]
+        {
+            self.filed += 1;
+        }
         let t = event.time.as_micros();
         debug_assert!(t >= self.cursor, "cannot schedule into the past");
         if t == self.cursor {
-            // Runtime seqs are monotone (append would suffice), but a
-            // lazily fed arrival carries a low-band seq and may be
-            // pushed after runtime events already cascaded into
-            // `current` — insert by seq to keep the tick sorted. For
-            // monotone pushes the partition point is `len()`, so this
-            // degenerates to the old `push_back`.
+            // A handler can push a ladder-band event and then a
+            // runtime-band one for the tick being dispatched; the ladder
+            // event must still pop last, so insert by seq. For pushes
+            // in seq order the partition point is `len()`, an append.
             let at = self.current.partition_point(|e| e.seq < event.seq);
             self.current.insert(at, event);
             return;
@@ -192,33 +214,50 @@ impl Wheel {
         let lvl = &mut self.levels[level as usize];
         lvl.slots[slot].push(event);
         lvl.occupied |= 1 << slot;
+        lvl.earliest[slot] = lvl.earliest[slot].min(t);
     }
 
     #[cfg(test)]
     fn pop(&mut self, stamps: &[Stamp], len: &mut usize, dropped: &mut u64) -> Option<Event> {
-        if self.advance_to_head(stamps, len, dropped) {
+        if self.advance_to_head(u64::MAX, stamps, len, dropped) {
             Some(self.current.remove(0))
         } else {
             None
         }
     }
 
-    /// Advances `cursor` to the earliest pending timestamp (cascading
-    /// coarser slots down as needed) and returns whether any event is
-    /// pending; on `true`, `current` is non-empty and holds the head
-    /// tick. Shared by [`EventQueue::peek_time`] and
-    /// [`EventQueue::pop_tick`].
+    /// Advances `cursor` to the earliest pending timestamp if that is at
+    /// or before `limit`, and returns whether it did; on `true`,
+    /// `current` is non-empty and holds the head tick. On `false` the
+    /// cursor is still at or before `limit` (it never moves past it), so
+    /// events at `limit` or later may still be pushed.
     ///
-    /// Events the stamp table already proves stale are dropped right
-    /// here (decrementing `len` and counting into `dropped`) instead of
-    /// being cascaded onward: a reused container's abandoned minutes-out
-    /// `IdleTimeout` would otherwise ride the cascade through every
-    /// finer level just to be discarded at the head. Dropping earlier
-    /// than a pop-time filter would is unobservable — stamps never
-    /// un-stale an event — and the count keeps `len + stale_dropped` an
-    /// exact backend-independent invariant (the wheel-vs-heap
-    /// proptest).
-    fn advance_to_head(&mut self, stamps: &[Stamp], len: &mut usize, dropped: &mut u64) -> bool {
+    /// The lowest occupied slot of the lowest non-empty level holds the
+    /// global head: every coarser event differs from the cursor in a
+    /// higher 6-bit group. So when that slot's earliest timestamp is due,
+    /// the cursor jumps straight to it: a cursor anywhere inside the
+    /// slot's window agrees with the old one on every coarser group, so
+    /// every other pending event keeps its level and slot, and only the
+    /// drained slot's events are re-filed — those at the head into
+    /// `current`, the rest into finer levels. A slot whose events all
+    /// share one instant becomes the tick whole, by buffer swap.
+    ///
+    /// Events the stamp table already proves stale are dropped when they
+    /// would be re-filed (decrementing `len` and counting into `dropped`);
+    /// a reused container's abandoned minutes-out `IdleTimeout` would
+    /// otherwise be re-filed only to be discarded at the head. Dropping
+    /// earlier than a pop-time filter would is unobservable — stamps
+    /// never un-stale an event — and the count keeps `len +
+    /// stale_dropped` an exact backend-independent invariant (the
+    /// wheel-vs-heap proptest). A tick swapped into `current` whole is
+    /// stale-filtered once, as [`EventQueue::pop_tick_until`] takes it.
+    fn advance_to_head(
+        &mut self,
+        limit: u64,
+        stamps: &[Stamp],
+        len: &mut usize,
+        dropped: &mut u64,
+    ) -> bool {
         loop {
             if !self.current.is_empty() {
                 return true;
@@ -226,42 +265,36 @@ impl Wheel {
             let Some(level) = (0..LEVELS).find(|&l| self.levels[l].occupied != 0) else {
                 return false;
             };
-            let slot = self.levels[level].occupied.trailing_zeros() as usize;
-            let mut drained = {
-                let lvl = &mut self.levels[level];
-                lvl.occupied &= !(1 << slot);
-                std::mem::take(&mut lvl.slots[slot])
-            };
-            let shift = SLOT_BITS * level as u32;
-            if level == 0 {
-                // A level-0 slot holds a single exact timestamp: all
-                // its events fire now, FIFO by sequence number. The
-                // sort is load-bearing: runtime pushes arrive in
-                // ascending seq, but when no arrival is queued the
-                // engine feeds the next one unconditionally, and that
-                // low-band arrival can land behind a runtime event
-                // already waiting in this slot for the same
-                // microsecond. On the usual already-sorted slot it is
-                // one linear pass.
-                self.cursor = (self.cursor & !(SLOTS as u64 - 1)) | slot as u64;
-                drained.retain(|e| {
-                    let keep = !stale(stamps, e);
-                    *len -= usize::from(!keep);
-                    *dropped += u64::from(!keep);
-                    keep
-                });
+            let lvl = &mut self.levels[level];
+            let slot = lvl.occupied.trailing_zeros() as usize;
+            let head = lvl.earliest[slot];
+            if head > limit {
+                return false;
+            }
+            lvl.occupied &= !(1 << slot);
+            lvl.earliest[slot] = u64::MAX;
+            let mut drained = std::mem::take(&mut lvl.slots[slot]);
+            #[cfg(test)]
+            {
+                self.drained += 1;
+            }
+            self.cursor = head;
+            // A level-0 slot holds a single exact timestamp; coarser
+            // slots usually hold one event.
+            if level == 0 || drained.iter().all(|e| e.time.as_micros() == head) {
+                // The slot is the head tick: it becomes `current` whole,
+                // FIFO by sequence number. The sort is load-bearing: a
+                // ladder-band event pushed before a runtime event for the
+                // same instant sits ahead of it in the slot. On the usual
+                // already-sorted slot it is one linear pass. `current`
+                // is empty, so its spare buffer goes back to the slot.
                 drained.sort_unstable_by_key(|e| e.seq);
-                // `current` is empty here: the slot's buffer becomes
-                // the tick whole, and `current`'s spare buffer goes
-                // back to the slot.
+                #[cfg(test)]
+                {
+                    self.filed += drained.len() as u64;
+                }
                 std::mem::swap(&mut self.current, &mut drained);
             } else {
-                // Advance the cursor into this slot's window and
-                // cascade its events down to finer levels.
-                let low_mask = 1u64
-                    .checked_shl(shift + SLOT_BITS)
-                    .map_or(u64::MAX, |v| v - 1);
-                self.cursor = (self.cursor & !low_mask) | ((slot as u64) << shift);
                 for event in drained.drain(..) {
                     if stale(stamps, &event) {
                         *len -= 1;
@@ -298,24 +331,22 @@ impl Wheel {
 
 /// First sequence number of the runtime band: events the engine
 /// schedules while running (timers, completions, prewarms) draw seqs
-/// from here up, while arrivals — whether pushed up front from a
-/// materialized trace or fed lazily from a streaming iterator — draw
-/// from the low band starting at 0. The engine never schedules an
-/// arrival at runtime, so within any tick the order is always: arrivals
-/// in trace order, then runtime events in scheduling order — exactly
-/// the order a fully materialized trace produces. That makes lazy
-/// arrival feeding byte-identical to up-front pushing. 2^48 leaves both
-/// bands room for hundreds of trillions of events.
+/// from here up. The engine never queues arrivals — it merges them from
+/// the stream ahead of each tick's runtime events (`Engine::run_loop`) —
+/// but the test-only up-front reference pushes the whole trace into the
+/// low band below it, so within any tick its arrivals pop first, in
+/// trace order, exactly where the stream merge dispatches them. 2^48
+/// leaves both bands room for hundreds of trillions of events.
 const RUNTIME_SEQ_BASE: u64 = 1 << 48;
 
 /// First sequence number of the ladder band: terminal ladder timers,
 /// the eager-chain oracle's rung timers and [`EventKind::LadderWake`]
-/// wakes sort *after* every arrival and every runtime event sharing
-/// their tick. A ladder boundary at instant `b` therefore becomes
-/// visible strictly after all the tick-`b` work that was scheduled
-/// before it — the same within-tick position the eager downgrade chain
-/// gives its re-armed timers — so the lazy schedule and the eager chain
-/// order identically by construction.
+/// wakes sort *after* every runtime event sharing their tick (and, on
+/// the up-front reference, every queued arrival). A ladder boundary at
+/// instant `b` therefore becomes visible strictly after all the tick-`b`
+/// work that was scheduled before it — the same within-tick position the
+/// eager downgrade chain gives its re-armed timers — so the lazy schedule
+/// and the eager chain order identically by construction.
 const LADDER_SEQ_BASE: u64 = 1 << 60;
 
 /// A per-container-slot generation stamp: events scheduled for an older
@@ -357,14 +388,15 @@ pub struct EventQueue {
     /// [`RUNTIME_SEQ_BASE`]).
     next_seq: u64,
     /// Next arrival-band sequence number (starts at 0).
+    #[cfg(test)]
     next_arrival_seq: u64,
     /// Next ladder-band sequence number (starts at
     /// [`LADDER_SEQ_BASE`]).
     next_ladder_seq: u64,
     len: usize,
     /// Events discarded as provably stale instead of delivered. The
-    /// wheel drops mid-cascade, earlier than a pop-time filter would,
-    /// so `len` alone depends on where stale events sit — but
+    /// wheel drops while re-filing, earlier than a pop-time filter
+    /// would, so `len` alone depends on where stale events sit — but
     /// `len + stale_dropped` is exact.
     stale_dropped: u64,
     /// Generation stamps indexed by pool slot (`ContainerId::slot`).
@@ -385,6 +417,7 @@ impl EventQueue {
             #[cfg(test)]
             heap: None,
             next_seq: RUNTIME_SEQ_BASE,
+            #[cfg(test)]
             next_arrival_seq: 0,
             next_ladder_seq: LADDER_SEQ_BASE,
             len: 0,
@@ -429,60 +462,6 @@ impl EventQueue {
         self.insert(Event { time, seq, kind });
     }
 
-    /// Schedules an invocation arrival of `function` at `time` in the
-    /// low (arrival) sequence band: at any tick, arrivals sort before
-    /// every runtime event regardless of when they were fed into the
-    /// queue — see [`RUNTIME_SEQ_BASE`]. Arrivals must be pushed in
-    /// trace order (non-decreasing time).
-    pub fn push_arrival(&mut self, time: Instant, function: FunctionId) {
-        let seq = self.next_arrival_seq;
-        self.next_arrival_seq += 1;
-        self.insert(Event {
-            time,
-            seq,
-            kind: EventKind::Arrival { function },
-        });
-    }
-
-    /// The timestamp of the earliest live pending event, discarding
-    /// provably stale heads along the way (exactly the events
-    /// [`Self::pop_tick`] would discard).
-    ///
-    /// This advances the wheel's cursor to the head tick, so afterwards
-    /// only events at `>=` the returned time may be pushed. The engine's
-    /// dispatch loop upholds that by construction: it keeps the earliest
-    /// unfed arrival's time at or above the queue head before every peek
-    /// (see `Engine::run_loop`).
-    pub fn peek_time(&mut self) -> Option<Instant> {
-        #[cfg(test)]
-        if self.heap.is_some() {
-            return self.heap_peek_time();
-        }
-        let EventQueue {
-            wheel,
-            len,
-            stale_dropped,
-            stamps,
-            ..
-        } = self;
-        loop {
-            if !wheel.advance_to_head(stamps, len, stale_dropped) {
-                return None;
-            }
-            let event = *wheel
-                .current
-                .first()
-                .expect("advance_to_head returned true");
-            if stale(stamps, &event) {
-                wheel.current.remove(0);
-                *len -= 1;
-                *stale_dropped += 1;
-                continue;
-            }
-            return Some(event.time);
-        }
-    }
-
     /// Records that `container`'s epoch is at least `epoch`: pending
     /// epoch-guarded events below that epoch (or for an older occupant
     /// of the same pool slot) will be dropped inside the queue instead
@@ -516,8 +495,13 @@ impl EventQueue {
 
     /// Drains every live event at the earliest pending timestamp into
     /// `out` (cleared first), in FIFO (`seq`) order, and returns that
-    /// timestamp. `out` is a caller-owned scratch buffer: the tick is
-    /// swapped into it whole, and its old buffer becomes the wheel's
+    /// timestamp — if it is at or before `limit`. Otherwise it returns
+    /// `None`, leaves `out` empty and keeps the queue's time frontier at
+    /// or before `limit`, so events at `limit` or later may still be
+    /// pushed; that is how the engine merges the next stream arrival,
+    /// at `limit`, with the queue. `limit` must not precede the last
+    /// returned tick. `out` is a caller-owned scratch buffer: the tick
+    /// is swapped into it whole, and its old buffer becomes the wheel's
     /// next spare, so the same few buffers circulate across ticks.
     ///
     /// Popping a whole tick is observably identical to popping the same
@@ -530,11 +514,11 @@ impl EventQueue {
     /// still delivered, exactly as per-event popping would deliver it —
     /// the engine's epoch re-checks make it a no-op either way; the
     /// stamp filter here only drops events already stale at drain time.
-    pub fn pop_tick(&mut self, out: &mut Vec<Event>) -> Option<Instant> {
+    pub fn pop_tick_until(&mut self, limit: Instant, out: &mut Vec<Event>) -> Option<Instant> {
         out.clear();
         #[cfg(test)]
         if self.heap.is_some() {
-            return self.heap_pop_tick(out);
+            return self.heap_pop_tick_until(limit, out);
         }
         let EventQueue {
             wheel,
@@ -543,8 +527,12 @@ impl EventQueue {
             stamps,
             ..
         } = self;
+        debug_assert!(
+            wheel.cursor <= limit.as_micros(),
+            "limit before the last tick"
+        );
         while out.is_empty() {
-            if !wheel.advance_to_head(stamps, len, stale_dropped) {
+            if !wheel.advance_to_head(limit.as_micros(), stamps, len, stale_dropped) {
                 return None;
             }
             // Wheel invariant: `current` holds exactly the events at
@@ -562,8 +550,8 @@ impl EventQueue {
     }
 
     /// Number of pending events. Stale events count until the queue
-    /// discards them, which the wheel may do mid-cascade — earlier than
-    /// a pop-time filter would.
+    /// discards them, which the wheel may do while re-filing — earlier
+    /// than a pop-time filter would.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -604,6 +592,27 @@ impl EventQueue {
         }
     }
 
+    /// Schedules an invocation arrival of `function` at `time` in the
+    /// low (arrival) sequence band: at any tick, arrivals sort before
+    /// every runtime event regardless of when they were pushed — see
+    /// [`RUNTIME_SEQ_BASE`]. Arrivals must be pushed in trace order
+    /// (non-decreasing time). Only the up-front reference queues
+    /// arrivals; the engine merges them from the stream.
+    pub(crate) fn push_arrival(&mut self, time: Instant, function: FunctionId) {
+        let seq = self.next_arrival_seq;
+        self.next_arrival_seq += 1;
+        self.insert(Event {
+            time,
+            seq,
+            kind: EventKind::Arrival { function },
+        });
+    }
+
+    /// [`Self::pop_tick_until`] with no bound: drains the earliest tick.
+    pub(crate) fn pop_tick(&mut self, out: &mut Vec<Event>) -> Option<Instant> {
+        self.pop_tick_until(Instant::MAX, out)
+    }
+
     /// Pops the earliest live event (FIFO among equal timestamps) — the
     /// per-event reference for [`Self::pop_tick`]. Events proven stale
     /// by the generation stamps are discarded silently.
@@ -630,35 +639,30 @@ impl EventQueue {
         }
     }
 
-    fn heap_peek_time(&mut self) -> Option<Instant> {
-        let heap = self.heap.as_mut().expect("heap backend");
-        loop {
-            let event = *heap.peek()?;
-            if stale(&self.stamps, &event) {
-                heap.pop();
-                self.len -= 1;
-                self.stale_dropped += 1;
-                continue;
+    fn heap_pop_tick_until(&mut self, limit: Instant, out: &mut Vec<Event>) -> Option<Instant> {
+        let EventQueue {
+            heap,
+            len,
+            stale_dropped,
+            stamps,
+            ..
+        } = self;
+        let heap = heap.as_mut().expect("heap backend");
+        let mut tick = None;
+        while let Some(&event) = heap.peek() {
+            if event.time > limit || tick.is_some_and(|t| event.time != t) {
+                break;
             }
-            return Some(event.time);
-        }
-    }
-
-    fn heap_pop_tick(&mut self, out: &mut Vec<Event>) -> Option<Instant> {
-        let first = self.pop()?;
-        let tick = first.time;
-        out.push(first);
-        let heap = self.heap.as_mut().expect("heap backend");
-        while heap.peek().is_some_and(|e| e.time == tick) {
-            let event = heap.pop().expect("peeked event exists");
-            self.len -= 1;
-            if stale(&self.stamps, &event) {
-                self.stale_dropped += 1;
+            heap.pop();
+            *len -= 1;
+            if stale(stamps, &event) {
+                *stale_dropped += 1;
             } else {
+                tick = Some(event.time);
                 out.push(event);
             }
         }
-        Some(tick)
+        tick
     }
 }
 
@@ -767,9 +771,9 @@ mod tests {
 
     #[test]
     fn fifo_survives_cascading() {
-        // Events at the same far-future instant arrive via a cascade
-        // from a high level; FIFO order must still hold, including
-        // against events pushed after the cascade started.
+        // Events at the same far-future instant wait in a coarse slot
+        // and reach `current` by a drain; FIFO order must still hold,
+        // including against events pushed after the cursor moved.
         let mut q = EventQueue::new();
         let far = 1_000_000_007;
         for i in 0..4u32 {
@@ -995,44 +999,49 @@ mod tests {
 
     #[test]
     fn lazy_arrival_feed_matches_up_front_pushing() {
-        // The streaming pattern: peek the head tick, feed the arrivals
-        // at or before it, dispatch. The pop order must be identical to
-        // pushing every arrival up front.
+        // The engine's stream merge: bound each drain by the next unfed
+        // arrival, dispatch the earlier of the two, and run a tick's
+        // arrivals ahead of its drained events. The dispatch order must
+        // be identical to pushing every arrival up front, including
+        // for an event a "handler" pushes at the tick being dispatched.
+        let arrivals = [5u64, 10, 10, 20, 40];
+        let echo = |q: &mut EventQueue, tick: Instant, batch: &[Event]| {
+            if batch.iter().any(|e| e.kind == prewarm(90)) {
+                q.push(tick, prewarm(93));
+            }
+        };
         for (kind, new_queue) in BACKENDS {
             let mut up_front = new_queue();
-            let mut lazy = new_queue();
-            let arrivals = [5u64, 10, 10, 20];
+            let mut merged = new_queue();
             for (i, &us) in arrivals.iter().enumerate() {
                 up_front.push_arrival(t(us), FunctionId::new(i as u32));
             }
-            for q in [&mut up_front, &mut lazy] {
+            for q in [&mut up_front, &mut merged] {
+                q.push(t(7), prewarm(89));
                 q.push(t(10), prewarm(90));
                 q.push(t(20), prewarm(91));
+                q.push(t(1_000_000), prewarm(92));
             }
-            let mut popped_up_front = Vec::new();
-            let mut popped_lazy = Vec::new();
-            let mut fed = arrivals.iter().enumerate();
-            let mut pending = fed.next();
+            let mut batch = Vec::new();
+            let mut expected = Vec::new();
+            while let Some(tick) = up_front.pop_tick(&mut batch) {
+                expected.extend(batch.iter().map(|e| (tick, e.kind)));
+                echo(&mut up_front, tick, &batch);
+            }
+            let mut merged_order = Vec::new();
+            let mut stream = arrivals.iter().enumerate().peekable();
             loop {
-                // Keep the earliest unfed arrival at/above the head.
-                if let Some((i, &us)) = pending {
-                    lazy.push_arrival(t(us), FunctionId::new(i as u32));
-                    pending = fed.next();
+                let next = stream.peek().map(|&(_, &us)| t(us));
+                let head = merged.pop_tick_until(next.unwrap_or(Instant::MAX), &mut batch);
+                let Some(tick) = head.or(next) else { break };
+                while let Some((i, _)) = stream.next_if(|&(_, &us)| t(us) == tick) {
+                    let function = FunctionId::new(i as u32);
+                    merged_order.push((tick, EventKind::Arrival { function }));
                 }
-                let Some(head) = lazy.peek_time() else { break };
-                while let Some((i, &us)) = pending {
-                    if t(us) > head {
-                        break;
-                    }
-                    lazy.push_arrival(t(us), FunctionId::new(i as u32));
-                    pending = fed.next();
-                }
-                popped_lazy.push(lazy.pop().expect("peeked head exists"));
+                merged_order.extend(batch.iter().map(|e| (tick, e.kind)));
+                echo(&mut merged, tick, &batch);
             }
-            while let Some(e) = up_front.pop() {
-                popped_up_front.push(e);
-            }
-            assert_eq!(popped_lazy, popped_up_front, "{kind}");
+            assert_eq!(merged_order, expected, "{kind}");
         }
     }
 
@@ -1075,7 +1084,7 @@ mod tests {
 
     #[test]
     fn stale_drop_accounting_is_exact_across_backends() {
-        // The wheel drops stale events mid-cascade, the heap at the
+        // The wheel drops stale events while re-filing, the heap at the
         // head, so `len` alone diverges — but delivered events plus
         // `len + stale_dropped` is conserved identically.
         let c = ContainerId::from_parts(1, 2);
@@ -1112,11 +1121,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_reports_head_and_drops_stale_heads() {
+    fn pop_tick_until_reports_head_and_drops_stale_heads() {
         let c = ContainerId::new(4);
         for (kind, new_queue) in BACKENDS {
             let mut q = new_queue();
-            assert_eq!(q.peek_time(), None);
+            let mut batch = Vec::new();
+            assert_eq!(q.pop_tick_until(t(100), &mut batch), None, "{kind}");
             q.push(
                 t(10),
                 EventKind::IdleTimeout {
@@ -1125,15 +1135,34 @@ mod tests {
                 },
             );
             q.push(t(30), prewarm(1));
-            assert_eq!(q.peek_time(), Some(t(10)), "{kind}");
-            // Invalidate the head: peek must skip to the live event and
-            // discard the stale one for good.
+            // Nothing is due by the bound: no drain, nothing dropped.
+            assert_eq!(q.pop_tick_until(t(9), &mut batch), None, "{kind}");
+            assert!(batch.is_empty());
+            assert_eq!(q.len(), 2);
+            // Invalidate the head: a bounded pop discards it for good and
+            // stops short of the live event past the bound.
             q.note(c, 5);
-            assert_eq!(q.peek_time(), Some(t(30)), "{kind}");
+            assert_eq!(q.pop_tick_until(t(20), &mut batch), None, "{kind}");
             assert_eq!(q.len(), 1);
-            assert_eq!(q.pop().map(|e| e.time), Some(t(30)));
+            assert_eq!(q.pop_tick_until(t(30), &mut batch), Some(t(30)), "{kind}");
+            assert_eq!(batch.len(), 1);
             assert!(q.is_empty());
         }
+    }
+
+    #[test]
+    fn a_lone_event_is_filed_twice_and_drained_once() {
+        // One event 1 s past the cursor waits in a level-3 slot, and the
+        // drain jumps the cursor straight to it. A level-by-level cascade
+        // files it 4 times (levels 3, 2 and 1, then `current`) over 3
+        // drains.
+        let mut q = EventQueue::new();
+        q.push(t(1_000_000), prewarm(0));
+        assert_eq!((q.wheel.filed, q.wheel.drained), (1, 0));
+        let mut batch = Vec::new();
+        assert_eq!(q.pop_tick(&mut batch), Some(t(1_000_000)));
+        assert_eq!(batch.len(), 1);
+        assert_eq!((q.wheel.filed, q.wheel.drained), (2, 1));
     }
 
     #[test]
@@ -1155,26 +1184,32 @@ mod tests {
 
     #[test]
     fn level0_slot_buffers_are_reused_across_ticks() {
-        // Every cycle a burst lands at offset 5 of the next 64 µs
-        // window: it waits at level 1, cascades into level-0 slot 5 and
-        // drains. Once the few buffers the wheel circulates have grown
-        // to a burst, slot 5 comes out of every drain with that
-        // capacity intact, so refilling it allocates nothing.
-        const BURST: u32 = 8;
+        // Every cycle a burst lands at offsets 5 and 6 of the next 64 µs
+        // window. Both halves wait in one level-1 slot; its drain jumps
+        // the cursor to offset 5, so the offset-6 half is re-filed into
+        // level-0 slot 6 and drains on the next tick. Once the few
+        // buffers the wheel circulates have grown to a half-burst, slot
+        // 6 comes out of every drain with that capacity intact, so
+        // refilling it allocates nothing.
+        const HALF: u32 = 8;
         const WARM_UP: u64 = 3;
         let mut q = EventQueue::new();
         let mut batch = Vec::new();
         let mut kept = None;
         for cycle in 1..=20u64 {
             let at = cycle * SLOTS as u64 + 5;
-            for i in 0..BURST {
-                q.push(t(at), prewarm(i));
+            for offset in 0..2 {
+                for i in 0..HALF {
+                    q.push(t(at + offset), prewarm(i));
+                }
             }
-            assert_eq!(q.pop_tick(&mut batch), Some(t(at)));
-            assert_eq!(batch.len(), BURST as usize);
-            let capacity = q.wheel.levels[0].slots[5].capacity();
+            for offset in 0..2 {
+                assert_eq!(q.pop_tick(&mut batch), Some(t(at + offset)));
+                assert_eq!(batch.len(), HALF as usize);
+            }
+            let capacity = q.wheel.levels[0].slots[6].capacity();
             if cycle >= WARM_UP {
-                assert!(capacity >= BURST as usize, "cycle {cycle}: {capacity}");
+                assert!(capacity >= HALF as usize, "cycle {cycle}: {capacity}");
                 assert_eq!(*kept.get_or_insert(capacity), capacity, "cycle {cycle}");
             }
         }
@@ -1188,14 +1223,15 @@ mod tests {
         /// drops.
         #[test]
         fn wheel_matches_heap_reference(
-            ops in prop::collection::vec((0u8..6, any::<u64>(), any::<u64>(), any::<u64>()), 1..200),
+            ops in prop::collection::vec((0u8..7, any::<u64>(), any::<u64>(), any::<u64>()), 1..200),
         ) {
             let mut wheel = EventQueue::new();
             let mut heap = EventQueue::reference_heap();
             // The wheel cannot schedule into the past. Its time frontier is
             // the last popped event — including events dropped as stale
             // inside `pop`, so after a `pop` that returns `None` the
-            // frontier may sit at the latest timestamp ever scheduled.
+            // frontier may sit at the latest timestamp ever scheduled —
+            // or, after a bounded pop that returns `None`, the bound.
             let mut now = 0u64;
             let mut high = 0u64;
             let ctr = |a: u64, b: u64| ContainerId::from_parts((a % 4) as u32, (b % 8) as u32);
@@ -1226,6 +1262,28 @@ mod tests {
                         wheel.retire(ctr(a, b));
                         heap.retire(ctr(a, b));
                     }
+                    // Pop one tick no later than a bound from both and
+                    // compare exactly. Finding nothing due must leave the
+                    // cursor at or before the bound, so an event at the
+                    // bound itself can still be scheduled.
+                    5 => {
+                        let limit = now + a % 100_000_000;
+                        let (mut x, mut y) = (Vec::new(), Vec::new());
+                        let tick = wheel.pop_tick_until(Instant::from_micros(limit), &mut x);
+                        prop_assert_eq!(tick, heap.pop_tick_until(Instant::from_micros(limit), &mut y));
+                        prop_assert_eq!(&x, &y);
+                        match tick {
+                            Some(tick) => now = tick.as_micros(),
+                            None => {
+                                prop_assert!(wheel.wheel.cursor <= limit);
+                                let kind = EventKind::PrewarmFire { function: FunctionId::new((c % 6) as u32) };
+                                wheel.push(Instant::from_micros(limit), kind);
+                                heap.push(Instant::from_micros(limit), kind);
+                                now = limit;
+                                high = high.max(limit);
+                            }
+                        }
+                    }
                     // Pop a few from both and compare exactly.
                     _ => {
                         for _ in 0..=(b % 3) {
@@ -1241,8 +1299,8 @@ mod tests {
                         }
                     }
                 }
-                // The wheel may discard stale events mid-cascade, before
-                // the heap's pop-time filter would; its len can only run
+                // The wheel may discard stale events while re-filing,
+                // before the heap's pop-time filter would; its len can only run
                 // at or below the heap's. The slack is exactly the stale
                 // drops each backend has already counted: `len +
                 // stale_dropped` is a conserved quantity across backends.
