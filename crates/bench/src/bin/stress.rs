@@ -36,29 +36,19 @@
 //! online with the §8 Locality+Sharing+Load scheduler into bounded
 //! per-shard queues, and every shard executes its subsequence on its
 //! own OS thread with streaming metrics. Peak memory is bounded by the
-//! channel depth, not the invocation count, and the per-shard reports
-//! reduce deterministically, so the result is byte-identical to the
-//! sequential materialized pipeline (`--identity` asserts exactly that
-//! at full scale; `--smoke` and `tests/cluster_identity.rs` pin it at
-//! CI scale).
+//! channel depth, not the invocation count. That the pipeline's report
+//! is byte-identical to a materialized, sequential cluster run is pinned
+//! by `rainbowcake-sim`'s oracle unit tests, not here.
 //!
 //! Flags:
 //!
 //! * `--shards N` — shard (= worker) count, default 4;
 //! * `--hours H`, `--rate-scale X` — trace volume, default 48 h at 16x;
-//! * `--policy <name>` (repeatable) — restrict the run for profiling;
-//!   filtered runs print numbers but skip the artifact write so the
-//!   `BENCH_<seq>.json` series stays full-suite comparable;
-//! * `--profile` — per-event-kind dispatch breakdown through the
-//!   profiled entry point on the materialized pipeline (skips the
-//!   artifact write);
-//! * `--identity` — assert the sharded streaming report is
-//!   byte-identical to the sequential materialized pipeline on the full
-//!   configured trace, then exit;
-//! * `--smoke` — the CI guard: a one-hour trace through the parallel
-//!   executor, the profiled entry point and both cluster pipelines with
-//!   byte-identity asserts, then per-policy throughput floors against
-//!   the committed artifact.
+//! * `--policy <name>` (repeatable) — restrict the run to the named
+//!   policies; filtered runs print numbers but skip the artifact write
+//!   so the `BENCH_<seq>.json` series stays full-suite comparable;
+//! * `--smoke` — the CI guard: per-policy throughput floors on an
+//!   8-hour trace against the committed artifact.
 //!   With `--hours H` (H > 1) it becomes the long-stream smoke
 //!   instead: stream an H-hour trace through RainbowCake and assert
 //!   the process RSS stays flat — the guard for the streaming
@@ -75,17 +65,13 @@
 
 use std::time::Instant as WallInstant;
 
-use rainbowcake_bench::{make_policy, parallel, BASELINE_NAMES};
+use rainbowcake_bench::{make_policy, BASELINE_NAMES};
 use rainbowcake_core::history::HistoryStats;
 use rainbowcake_core::profile::Catalog;
 use rainbowcake_metrics::json::{escape_str, fmt_f64};
-use rainbowcake_metrics::RunReport;
-use rainbowcake_sim::cluster::{
-    route_trace, run_cluster, run_cluster_streaming, LocalitySharingLoad, ShardedRun,
-};
-use rainbowcake_sim::{run, run_streaming_with_profile, EngineProfile, SimConfig};
-use rainbowcake_trace::azure::{azure_like_stream, azure_like_trace, AzureConfig, AzureStream};
-use rainbowcake_trace::Trace;
+use rainbowcake_sim::cluster::{run_cluster_streaming, LocalitySharingLoad, ShardedRun};
+use rainbowcake_sim::SimConfig;
+use rainbowcake_trace::azure::{azure_like_stream, AzureConfig, AzureStream};
 use rainbowcake_workloads::paper_catalog;
 
 /// Default shard count: each shard is one worker engine on its own OS
@@ -131,110 +117,6 @@ fn run_policy_sharded(
         config,
         &mut router,
     )
-}
-
-/// The sequential reference for [`run_policy_sharded`]: materialize the
-/// stream, route it up front, run every worker in order on the calling
-/// thread. Memory scales with the trace length — only `--identity`,
-/// `--smoke` and `--profile` take this path.
-fn run_policy_sequential(
-    catalog: &Catalog,
-    name: &str,
-    stream: &AzureStream,
-    shards: usize,
-    config: &SimConfig,
-) -> rainbowcake_sim::cluster::ClusterReport {
-    let trace = Trace::from_arrivals(stream.horizon(), stream.iter().collect());
-    let mut router = LocalitySharingLoad::default();
-    let mut factory = || make_policy(name, catalog);
-    run_cluster(catalog, &mut factory, &trace, shards, config, &mut router)
-}
-
-/// Executes `policy` over every sub-trace, fanned out over `threads`
-/// (0 = sequential on the calling thread).
-fn run_policy(
-    catalog: &Catalog,
-    name: &str,
-    subs: &[Trace],
-    config: &SimConfig,
-    threads: usize,
-) -> Vec<RunReport> {
-    let jobs: Vec<_> = subs
-        .iter()
-        .map(|sub| {
-            move || {
-                let mut policy = make_policy(name, catalog);
-                run(catalog, policy.as_mut(), sub, config)
-            }
-        })
-        .collect();
-    if threads == 0 {
-        jobs.into_iter().map(|j| j()).collect()
-    } else {
-        parallel::run_jobs_on(threads, jobs)
-    }
-}
-
-/// Like [`run_policy`], but through the profiled entry point; the
-/// per-worker profiles are merged into one suite-wide breakdown.
-fn run_policy_profiled(
-    catalog: &Catalog,
-    name: &str,
-    subs: &[Trace],
-    config: &SimConfig,
-    threads: usize,
-) -> (Vec<RunReport>, EngineProfile) {
-    let jobs: Vec<_> = subs
-        .iter()
-        .map(|sub| {
-            move || {
-                let mut policy = make_policy(name, catalog);
-                run_streaming_with_profile(
-                    catalog,
-                    policy.as_mut(),
-                    sub.iter().copied(),
-                    sub.horizon(),
-                    config,
-                )
-            }
-        })
-        .collect();
-    let pairs: Vec<(RunReport, EngineProfile)> = if threads == 0 {
-        jobs.into_iter().map(|j| j()).collect()
-    } else {
-        parallel::run_jobs_on(threads, jobs)
-    };
-    let mut merged = EngineProfile::default();
-    let mut reports = Vec::with_capacity(pairs.len());
-    for (report, profile) in pairs {
-        merged.merge(&profile);
-        reports.push(report);
-    }
-    (reports, merged)
-}
-
-/// Prints the per-event-kind dispatch breakdown of a profiled run.
-fn print_profile(name: &str, profile: &EngineProfile) {
-    let total_ns: u64 = profile.nanos.iter().sum();
-    println!(
-        "  profile {name}: {} events dispatched in {:.3} s of handler time \
-         ({:.2} events/invocation)",
-        profile.total_events(),
-        total_ns as f64 / 1e9,
-        profile.events_per_invocation()
-    );
-    for (i, kind) in EngineProfile::KIND_NAMES.iter().enumerate() {
-        let share = if total_ns > 0 {
-            100.0 * profile.nanos[i] as f64 / total_ns as f64
-        } else {
-            0.0
-        };
-        println!(
-            "    {kind:<13} {:>10} events  {:>9.3} ms  {share:>5.1}%",
-            profile.counts[i],
-            profile.nanos[i] as f64 / 1e6
-        );
-    }
 }
 
 /// The stress schema version this binary writes;
@@ -396,101 +278,6 @@ fn long_stream_smoke(hours: u64, shards: usize) {
     println!("stress --smoke --hours {hours} passed");
 }
 
-fn smoke(profiling: bool, shards: usize) {
-    let catalog = paper_catalog();
-    let azure = AzureConfig {
-        hours: 1,
-        ..AzureConfig::default()
-    };
-    let stream = azure_like_stream(catalog.len(), &azure);
-    let trace = azure_like_trace(catalog.len(), &azure);
-    let mut router = LocalitySharingLoad::default();
-    let subs = route_trace(&catalog, &trace, DEFAULT_SHARDS, &mut router);
-    let config = SimConfig {
-        streaming_metrics: true,
-        ..SimConfig::default()
-    };
-    for name in BASELINE_NAMES {
-        let sequential: Vec<String> = run_policy(&catalog, name, &subs, &config, 0)
-            .iter()
-            .map(|r| r.to_json())
-            .collect();
-        for threads in [2, 4] {
-            let parallel_json: Vec<String> = run_policy(&catalog, name, &subs, &config, threads)
-                .iter()
-                .map(|r| r.to_json())
-                .collect();
-            assert_eq!(
-                parallel_json, sequential,
-                "{name}: parallel ({threads} threads) diverged from sequential"
-            );
-        }
-        let (reports, profile) = run_policy_profiled(&catalog, name, &subs, &config, 2);
-        let completed: usize = reports.iter().map(|r| r.invocations()).sum();
-        assert!(completed > 0, "{name} completed nothing");
-        assert!(
-            profile.total_events() >= completed as u64,
-            "{name}: profiled fewer events than completed invocations"
-        );
-        let profiled_json: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-        assert_eq!(
-            profiled_json, sequential,
-            "{name}: profiled dispatch diverged from unprofiled"
-        );
-        // The sharded streaming pipeline must reproduce the sequential
-        // materialized cluster byte-for-byte at every shard count.
-        let mut counts = vec![1, 2, shards];
-        counts.dedup();
-        for &n in &counts {
-            let reference = run_policy_sequential(&catalog, name, &stream, n, &config).to_json();
-            let sharded = run_policy_sharded(&catalog, name, &stream, n, &config)
-                .report
-                .to_json();
-            assert_eq!(
-                sharded, reference,
-                "{name}: {n}-shard streaming cluster diverged from sequential"
-            );
-        }
-        println!(
-            "smoke {name}: {completed} invocations; parallel, profiled and sharded \
-             ({counts:?}) runs all byte-identical; {:.2} events/invocation",
-            profile.events_per_invocation()
-        );
-        if profiling {
-            print_profile(name, &profile);
-        }
-    }
-    perf_smoke(shards);
-    println!("stress --smoke passed");
-}
-
-/// Asserts the sharded streaming pipeline reproduces the sequential
-/// materialized pipeline byte-for-byte on the full configured trace.
-fn identity(catalog: &Catalog, selected: &[&str], stream: &AzureStream, shards: usize) {
-    let config = SimConfig {
-        streaming_metrics: true,
-        ..SimConfig::default()
-    };
-    for name in selected {
-        let t0 = WallInstant::now();
-        let sharded = run_policy_sharded(catalog, name, stream, shards, &config)
-            .report
-            .to_json();
-        let sequential = run_policy_sequential(catalog, name, stream, shards, &config).to_json();
-        assert_eq!(
-            sharded, sequential,
-            "{name}: {shards}-shard streaming report diverged from sequential"
-        );
-        println!(
-            "identity {name}: {shards}-shard streaming == sequential \
-             ({} report bytes, {:.1} s)",
-            sharded.len(),
-            t0.elapsed().as_secs_f64()
-        );
-    }
-    println!("stress --identity passed");
-}
-
 /// Parses repeatable `--policy <name>` / `--policy=<name>` filters.
 /// Returns the selected policies in `BASELINE_NAMES` order, or the full
 /// suite when no filter is given.
@@ -579,7 +366,7 @@ struct PolicyRow {
     events_per_invocation: f64,
 }
 
-/// The `history` sub-object of a policy row / profile line.
+/// The `history` sub-object of a policy row.
 fn history_json(h: &HistoryStats) -> String {
     format!(
         "{{\"queries\":{},\"scope_queries\":{},\"scope_hits\":{},\
@@ -671,7 +458,6 @@ fn measure_policy(
 }
 
 fn main() {
-    let profiling = std::env::args().any(|a| a == "--profile");
     let shards: usize = numeric_flag("--shards", DEFAULT_SHARDS);
     assert!(shards > 0, "--shards must be positive");
     if std::env::args().any(|a| a == "--smoke") {
@@ -679,7 +465,8 @@ fn main() {
         if hours > 1 {
             long_stream_smoke(hours, shards);
         } else {
-            smoke(profiling, shards);
+            perf_smoke(shards);
+            println!("stress --smoke passed");
         }
         return;
     }
@@ -702,38 +489,11 @@ fn main() {
         total >= 1_000_000,
         "stress trace must reach one million invocations (got {total})"
     );
-    if std::env::args().any(|a| a == "--identity") {
-        println!("stress: {total} invocations, asserting {shards}-shard identity ...");
-        identity(&catalog, &selected, &stream, shards);
-        return;
-    }
     println!("stress: {total} invocations, streaming across {shards} shards ...");
     let config = SimConfig {
         streaming_metrics: true,
         ..SimConfig::default()
     };
-
-    if profiling {
-        // The profiled entry point runs through the materialized
-        // pipeline (it is an investigation tool, never the artifact).
-        let trace = Trace::from_arrivals(stream.horizon(), stream.iter().collect());
-        let mut router = LocalitySharingLoad::default();
-        let subs = route_trace(&catalog, &trace, shards, &mut router);
-        let threads = parallel::worker_threads().max(2);
-        for name in selected {
-            let t0 = WallInstant::now();
-            let (reports, profile) = run_policy_profiled(&catalog, name, &subs, &config, threads);
-            let wall = t0.elapsed().as_secs_f64();
-            let completed: usize = reports.iter().map(|r| r.invocations()).sum();
-            println!(
-                "  {name}: {completed} invocations in {wall:.2} s ({:.0} inv/s)",
-                completed as f64 / wall
-            );
-            print_profile(name, &profile);
-        }
-        println!("profiling active: skipping artifact write");
-        return;
-    }
 
     let mut rows = Vec::new();
     let mut rss_mark = peak_rss_kb();

@@ -10,23 +10,22 @@
 //! 3. **Load** — spread work to avoid contention.
 //!
 //! This module implements that scheduler (plus round-robin and
-//! least-loaded baselines) as a *routing* layer: arrivals are routed
-//! online using an approximate warmth/load view of each worker, the
-//! per-worker sub-traces are then executed exactly by the single-node
-//! engine, and the reports are aggregated. Routing state is approximate
-//! by design — a real cluster's router also works on stale summaries
-//! rather than the workers' exact pool contents.
+//! least-loaded baselines) as a *routing* layer in front of the
+//! single-node engine. [`run_cluster_streaming`] is the one execution
+//! path: the caller streams arrivals, the router routes them online
+//! using an approximate warmth/load view of each worker and feeds
+//! bounded per-shard queues, and each worker engine runs on its own OS
+//! thread. Peak memory is bounded by the channel depth instead of the
+//! trace length, and the per-worker reports are collected in
+//! worker-index order, so the result does not depend on which shard
+//! finishes first. Routing state is approximate by design — a real
+//! cluster's router also works on stale summaries rather than the
+//! workers' exact pool contents.
 //!
-//! Execution comes in two shapes with **byte-identical** results:
-//!
-//! * [`run_cluster`] — the sequential reference: materialize each
-//!   worker's sub-trace, run the workers one after another.
-//! * [`run_cluster_streaming`] — the sharded pipeline: the caller
-//!   streams arrivals, the router feeds bounded per-shard queues, and
-//!   each worker engine runs on its own OS thread. Peak memory is
-//!   bounded by the channel depth instead of the trace length, and the
-//!   per-worker reports merge in worker-index order, so the result is
-//!   exactly the sequential report.
+//! The sim crate's unit tests keep a materialized, sequential reference
+//! (route the whole trace up front, then run each worker's sub-trace one
+//! after another) and require the pipeline's report to be
+//! byte-identical to it at 1, 2, 4 and 8 shards.
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -38,10 +37,10 @@ use rainbowcake_core::profile::Catalog;
 use rainbowcake_core::time::{Instant, Micros};
 use rainbowcake_core::types::{FunctionId, Language};
 use rainbowcake_metrics::{RunReport, StreamingSummary, WasteTracker};
-use rainbowcake_trace::{Arrival, Trace};
+use rainbowcake_trace::Arrival;
 
 use crate::config::SimConfig;
-use crate::engine::{run, run_streaming_counted, EngineProfile};
+use crate::engine::{run_streaming_counted, EngineProfile};
 
 /// Identifies a worker node in the cluster.
 pub type WorkerId = usize;
@@ -60,7 +59,7 @@ pub struct WorkerView {
 }
 
 impl WorkerView {
-    fn new(functions: usize) -> Self {
+    pub(crate) fn new(functions: usize) -> Self {
         WorkerView {
             last_run: vec![None; functions],
             last_lang: [None; 3],
@@ -92,7 +91,7 @@ impl WorkerView {
         self.recent.len() - self.recent.partition_point(|&t| t < cutoff)
     }
 
-    fn record(&mut self, f: FunctionId, language: Language, now: Instant) {
+    pub(crate) fn record(&mut self, f: FunctionId, language: Language, now: Instant) {
         self.last_run[f.index()] = Some(now);
         self.last_lang[lang_idx(language)] = Some(now);
         let cutoff = now - Micros::from_mins(1);
@@ -328,7 +327,7 @@ impl ClusterReport {
     /// Two cluster runs serialize identically iff they made the same
     /// routing decisions and every worker measured the same run, so
     /// comparing `to_json` outputs is an exact equality check between
-    /// the sharded and sequential pipelines.
+    /// two cluster runs.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(128 + self.workers.len() * 256);
         out.push_str("{\"router\":");
@@ -394,7 +393,7 @@ fn thread_cpu_since(start: Option<f64>) -> Option<f64> {
 /// simulation state and is excluded from [`ClusterReport::to_json`]).
 #[derive(Debug)]
 pub struct ShardedRun {
-    /// The cluster result — byte-identical to the sequential pipeline.
+    /// The deterministic cluster result.
     pub report: ClusterReport,
     /// Wall-clock seconds each shard thread spent inside its engine
     /// (includes time blocked waiting on the router's feed).
@@ -412,23 +411,20 @@ pub struct ShardedRun {
     /// CPU seconds the router thread consumed (same accounting as
     /// [`ShardedRun::shard_cpu_s`]).
     pub route_cpu_s: f64,
-    /// Per-shard history-recorder query counters
-    /// ([`Policy::history_stats`]); zeroed for policies without a
-    /// recorder.
-    pub shard_history: Vec<HistoryStats>,
     /// Per-shard counts-only engine profiles
-    /// ([`EngineProfile::counting`]): event counts per kind and
-    /// completed invocations, with handler timing left zero so the
-    /// shard hot loops stay free of clock reads.
+    /// ([`EngineProfile::counting`]): event counts per kind, completed
+    /// invocations and history-recorder query counters, with handler
+    /// timing left zero so the shard hot loops stay free of clock reads.
     pub shard_profiles: Vec<EngineProfile>,
 }
 
 impl ShardedRun {
-    /// History counters summed across shards.
+    /// History counters ([`Policy::history_stats`]) summed across
+    /// shards; zero for policies without a recorder.
     pub fn history(&self) -> HistoryStats {
         let mut total = HistoryStats::default();
-        for h in &self.shard_history {
-            total.merge(h);
+        for p in &self.shard_profiles {
+            total.merge(&p.history);
         }
         total
     }
@@ -445,33 +441,31 @@ impl ShardedRun {
 }
 
 /// Runs a cluster as a streaming sharded pipeline: the calling thread
-/// routes arrivals online (exactly like [`route_trace`]) and feeds each
-/// worker's subsequence over a bounded channel to a dedicated OS thread
-/// running that worker's engine on a counts-only profile (identical
-/// behaviour to [`run`], plus per-kind event counts with no clock
-/// reads).
+/// routes arrivals online and feeds each worker's subsequence over a
+/// bounded channel to a dedicated OS thread running that worker's engine
+/// on a counts-only profile (identical behaviour to
+/// [`run`](crate::run), plus per-kind event counts with no clock reads).
 ///
-/// Compared to [`run_cluster`] this (a) executes the workers
-/// concurrently and (b) never materializes per-worker arrival vectors —
-/// peak memory is bounded by the channel depth, not the trace length —
-/// while producing a [`ClusterReport`] that is **byte-identical** to
-/// the sequential pipeline on the same arrival stream:
+/// The workers run concurrently and no per-worker arrival vector is
+/// ever materialized — peak memory is bounded by the channel depth, not
+/// the trace length. The [`ClusterReport`] is deterministic:
 ///
-/// * the router sees arrivals in the same order with the same views, so
-///   the assignment is identical;
+/// * the router sees arrivals in stream order with views that depend
+///   only on earlier routing decisions, so the assignment is fixed;
 /// * each worker receives its assigned subsequence in sorted order, and
-///   streaming execution on that stream is byte-identical to [`run`] on
-///   the materialized sub-trace;
+///   streaming execution on that stream is byte-identical to
+///   [`run`](crate::run) on the materialized sub-trace;
 /// * per-worker reports are collected by worker index, not completion
 ///   order, so the report (and any [`ClusterReport::merged`] reduction)
-///   is deterministic.
+///   is the same at any thread timing.
 ///
 /// `arrivals` must be sorted by `(time, function)` — the order both
-/// [`Trace`] iteration and the streaming synthesizers produce — and is
-/// clipped to `horizon` like [`Trace::from_arrivals`]. `make_policy` is
-/// called once per shard *on the shard's thread*; it must produce
-/// identical policies regardless of call order (policy construction
-/// from a shared catalog is pure in every §7.1 baseline).
+/// [`Trace`](rainbowcake_trace::Trace) iteration and the streaming
+/// synthesizers produce — and is clipped to `horizon` like
+/// [`Trace::from_arrivals`](rainbowcake_trace::Trace::from_arrivals).
+/// `make_policy` is called once per shard *on the shard's thread*; it
+/// must produce identical policies regardless of call order (policy
+/// construction from a shared catalog is pure in every §7.1 baseline).
 ///
 /// # Panics
 ///
@@ -494,7 +488,6 @@ pub fn run_cluster_streaming(
     let mut reports = Vec::with_capacity(workers);
     let mut shard_busy_s = vec![0.0f64; workers];
     let mut shard_cpu_s = vec![0.0f64; workers];
-    let mut shard_history = vec![HistoryStats::default(); workers];
     let mut shard_profiles = vec![EngineProfile::counting(); workers];
     let mut route_s = 0.0f64;
     let mut route_cpu_s = 0.0f64;
@@ -517,8 +510,7 @@ pub fn run_cluster_streaming(
                 );
                 let busy = started.elapsed().as_secs_f64();
                 let cpu = thread_cpu_since(cpu_started).unwrap_or(busy);
-                let history = policy.history_stats().unwrap_or_default();
-                (report, busy, cpu, history, profile)
+                (report, busy, cpu, profile)
             }));
         }
         let route_started = std::time::Instant::now();
@@ -551,12 +543,10 @@ pub fn run_cluster_streaming(
         route_s = route_started.elapsed().as_secs_f64();
         route_cpu_s = thread_cpu_since(route_cpu_started).unwrap_or(route_s);
         for (w, handle) in handles.into_iter().enumerate() {
-            let (report, busy, cpu, history, profile) =
-                handle.join().expect("shard thread panicked");
+            let (report, busy, cpu, profile) = handle.join().expect("shard thread panicked");
             reports.push(report);
             shard_busy_s[w] = busy;
             shard_cpu_s[w] = cpu;
-            shard_history[w] = history;
             shard_profiles[w] = profile;
         }
     });
@@ -570,70 +560,7 @@ pub fn run_cluster_streaming(
         shard_cpu_s,
         route_s,
         route_cpu_s,
-        shard_history,
         shard_profiles,
-    }
-}
-
-/// Routes `trace` across `workers` nodes with `router` and returns one
-/// sub-trace per worker (same horizon as the input). Routing is
-/// policy-independent, so the result can be executed under any number
-/// of policies without re-routing — the stress harness relies on this.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero or the router returns an out-of-range
-/// worker.
-pub fn route_trace(
-    catalog: &Catalog,
-    trace: &Trace,
-    workers: usize,
-    router: &mut dyn Router,
-) -> Vec<Trace> {
-    assert!(workers > 0, "cluster needs at least one worker");
-    let mut views: Vec<WorkerView> = (0..workers)
-        .map(|_| WorkerView::new(catalog.len()))
-        .collect();
-    let mut sub: Vec<Vec<Arrival>> = vec![Vec::new(); workers];
-    for a in trace.iter() {
-        let language = catalog.profile(a.function).language;
-        let w = router.route(a.time, a.function, language, &views);
-        assert!(w < workers, "router returned an out-of-range worker");
-        views[w].record(a.function, language, a.time);
-        sub[w].push(*a);
-    }
-    sub.into_iter()
-        .map(|arrivals| Trace::from_arrivals(trace.horizon(), arrivals))
-        .collect()
-}
-
-/// Routes `trace` across `workers` nodes with `router`, then executes
-/// each worker's sub-trace with a fresh policy from `make_policy`.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn run_cluster(
-    catalog: &Catalog,
-    make_policy: &mut dyn FnMut() -> Box<dyn Policy>,
-    trace: &Trace,
-    workers: usize,
-    per_worker: &SimConfig,
-    router: &mut dyn Router,
-) -> ClusterReport {
-    let sub = route_trace(catalog, trace, workers, router);
-    let assigned: Vec<usize> = sub.iter().map(|s| s.len()).collect();
-    let workers_reports = sub
-        .into_iter()
-        .map(|sub_trace| {
-            let mut policy = make_policy();
-            run(catalog, policy.as_mut(), &sub_trace, per_worker)
-        })
-        .collect();
-    ClusterReport {
-        router: router.name(),
-        workers: workers_reports,
-        assigned,
     }
 }
 
@@ -641,6 +568,7 @@ pub fn run_cluster(
 mod tests {
     use super::*;
     use rainbowcake_core::rainbow::RainbowCake;
+    use rainbowcake_trace::Trace;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -682,8 +610,29 @@ mod tests {
         Trace::from_arrivals(Micros::from_mins(120), arrivals)
     }
 
-    fn policy_factory(catalog: &Catalog) -> impl FnMut() -> Box<dyn Policy> + '_ {
+    fn rainbowcake(catalog: &Catalog) -> impl Fn() -> Box<dyn Policy> + Sync + '_ {
         move || Box::new(RainbowCake::with_defaults(catalog).expect("valid")) as Box<dyn Policy>
+    }
+
+    /// Runs `t` through the streaming pipeline, every worker on
+    /// `SimConfig::deterministic(1)`.
+    fn run_on(
+        c: &Catalog,
+        make_policy: &(dyn Fn() -> Box<dyn Policy> + Sync),
+        t: &Trace,
+        workers: usize,
+        router: &mut dyn Router,
+    ) -> ClusterReport {
+        run_cluster_streaming(
+            c,
+            make_policy,
+            t.iter().copied(),
+            t.horizon(),
+            workers,
+            &SimConfig::deterministic(1),
+            router,
+        )
+        .report
     }
 
     /// A fixed 10-minute keep-alive policy (OpenWhisk-style), local to
@@ -714,15 +663,7 @@ mod tests {
     fn round_robin_spreads_evenly() {
         let c = catalog();
         let t = trace(&c);
-        let mut factory = policy_factory(&c);
-        let report = run_cluster(
-            &c,
-            &mut factory,
-            &t,
-            3,
-            &SimConfig::deterministic(1),
-            &mut RoundRobin::new(),
-        );
+        let report = run_on(&c, &rainbowcake(&c), &t, 3, &mut RoundRobin::new());
         assert_eq!(report.completed(), t.len());
         assert!(report.imbalance() < 1.1, "imbalance {}", report.imbalance());
     }
@@ -734,29 +675,14 @@ mod tests {
         // over 4 workers stretches per-node gaps to 20 minutes.
         let c = catalog();
         let t = sparse_trace(&c);
-        let mut ow_factory = || Box::new(FixedKeepAlive) as Box<dyn Policy>;
+        let ow_factory = || Box::new(FixedKeepAlive) as Box<dyn Policy>;
         let mut router = LocalitySharingLoad {
             warm_window: Micros::from_mins(10),
             ..LocalitySharingLoad::default()
         };
-        let report = run_cluster(
-            &c,
-            &mut ow_factory,
-            &t,
-            4,
-            &SimConfig::deterministic(1),
-            &mut router,
-        );
+        let report = run_on(&c, &ow_factory, &t, 4, &mut router);
         assert_eq!(report.completed(), t.len());
-        let mut ow_factory = || Box::new(FixedKeepAlive) as Box<dyn Policy>;
-        let rr = run_cluster(
-            &c,
-            &mut ow_factory,
-            &t,
-            4,
-            &SimConfig::deterministic(1),
-            &mut RoundRobin::new(),
-        );
+        let rr = run_on(&c, &ow_factory, &t, 4, &mut RoundRobin::new());
         assert!(
             report.cold_starts() * 3 < rr.cold_starts(),
             "locality {} vs round-robin {}",
@@ -769,15 +695,7 @@ mod tests {
     fn least_loaded_balances() {
         let c = catalog();
         let t = trace(&c);
-        let mut factory = policy_factory(&c);
-        let report = run_cluster(
-            &c,
-            &mut factory,
-            &t,
-            4,
-            &SimConfig::deterministic(1),
-            &mut LeastLoaded::new(),
-        );
+        let report = run_on(&c, &rainbowcake(&c), &t, 4, &mut LeastLoaded::new());
         assert_eq!(report.completed(), t.len());
         // The one-minute load window is coarse at this arrival rate, so
         // allow some skew — but every worker must receive real work.
@@ -803,24 +721,23 @@ mod tests {
     }
 
     /// At every shard count, the threaded streaming pipeline must be an
-    /// exact drop-in for the sequential reference: same routing, same
-    /// per-worker runs, same serialized bytes.
+    /// exact drop-in for the sequential reference
+    /// ([`crate::oracle::run_cluster`]): same routing, same per-worker
+    /// runs, same serialized bytes.
     #[test]
     fn sharded_streaming_matches_sequential_at_every_shard_count() {
         let c = catalog();
         let t = trace(&c);
-        let factory =
-            || Box::new(RainbowCake::with_defaults(&c).expect("valid")) as Box<dyn Policy>;
+        let factory = rainbowcake(&c);
         for shards in [1usize, 2, 4, 8] {
             for streaming_metrics in [false, true] {
                 let config = SimConfig {
                     streaming_metrics,
                     ..SimConfig::deterministic(1)
                 };
-                let mut fac = policy_factory(&c);
-                let seq = run_cluster(
+                let seq = crate::oracle::run_cluster(
                     &c,
-                    &mut fac,
+                    &factory,
                     &t,
                     shards,
                     &config,
@@ -852,15 +769,13 @@ mod tests {
     fn merged_report_reduces_worker_aggregates() {
         let c = catalog();
         let t = trace(&c);
-        let factory =
-            || Box::new(RainbowCake::with_defaults(&c).expect("valid")) as Box<dyn Policy>;
         let config = SimConfig {
             streaming_metrics: true,
             ..SimConfig::deterministic(1)
         };
         let sharded = run_cluster_streaming(
             &c,
-            &factory,
+            &rainbowcake(&c),
             t.iter().copied(),
             t.horizon(),
             4,
@@ -882,14 +797,6 @@ mod tests {
     fn zero_workers_rejected() {
         let c = catalog();
         let t = trace(&c);
-        let mut factory = policy_factory(&c);
-        let _ = run_cluster(
-            &c,
-            &mut factory,
-            &t,
-            0,
-            &SimConfig::deterministic(1),
-            &mut RoundRobin::new(),
-        );
+        let _ = run_on(&c, &rainbowcake(&c), &t, 0, &mut RoundRobin::new());
     }
 }

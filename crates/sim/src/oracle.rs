@@ -1,4 +1,5 @@
-//! Oracle tests for the engine's single production path.
+//! Oracle tests for the engine's and the cluster's single production
+//! paths.
 //!
 //! The shipped engine has one dispatch path: the timer wheel, drained a
 //! tick at a time, with lazy ladder timers. Its predecessors survive
@@ -8,6 +9,12 @@
 //! paper trace, every combination must produce `RunReport` JSON that is
 //! **byte-identical** to the production path, both on the calling
 //! thread and fanned out over worker threads.
+//!
+//! The shipped cluster has one execution path,
+//! [`run_cluster_streaming`]. Its materialized predecessor lives here as
+//! [`route_trace`] plus [`run_cluster`]: route the whole trace up front,
+//! then run each worker's sub-trace one after another. On the six-policy
+//! suite at 1, 2, 4 and 8 shards the two must serialize identically.
 
 use std::thread;
 
@@ -24,8 +31,11 @@ use rainbowcake_trace::azure::{azure_like_trace, AzureConfig};
 use rainbowcake_trace::{Arrival, Trace};
 use rainbowcake_workloads::paper_catalog;
 
+use crate::cluster::{
+    run_cluster_streaming, ClusterReport, LocalitySharingLoad, Router, WorkerView,
+};
 use crate::engine::{run_oracle, Oracle};
-use crate::{run, SimConfig};
+use crate::{run, run_streaming_with_profile, SimConfig};
 
 /// The six policies of §7.1, in the paper's presentation order.
 const POLICIES: [&str; 6] = [
@@ -51,8 +61,64 @@ fn make_policy(name: &str, catalog: &Catalog) -> Box<dyn Policy> {
     }
 }
 
-/// The §7.2 evaluation setup: the 20-function catalog, the 8-hour
-/// Azure-like trace, and the 240 GB worker.
+/// Routes `trace` across `workers` nodes with `router` and returns one
+/// sub-trace per worker (same horizon as the input): the materialized
+/// reference for the routing step of [`run_cluster_streaming`].
+///
+/// # Panics
+///
+/// Panics if `workers` is zero or the router returns an out-of-range
+/// worker.
+fn route_trace(
+    catalog: &Catalog,
+    trace: &Trace,
+    workers: usize,
+    router: &mut dyn Router,
+) -> Vec<Trace> {
+    assert!(workers > 0, "cluster needs at least one worker");
+    let mut views: Vec<WorkerView> = (0..workers)
+        .map(|_| WorkerView::new(catalog.len()))
+        .collect();
+    let mut sub: Vec<Vec<Arrival>> = vec![Vec::new(); workers];
+    for a in trace.iter() {
+        let language = catalog.profile(a.function).language;
+        let w = router.route(a.time, a.function, language, &views);
+        assert!(w < workers, "router returned an out-of-range worker");
+        views[w].record(a.function, language, a.time);
+        sub[w].push(*a);
+    }
+    sub.into_iter()
+        .map(|arrivals| Trace::from_arrivals(trace.horizon(), arrivals))
+        .collect()
+}
+
+/// The sequential reference for [`run_cluster_streaming`]: routes
+/// `trace` with [`route_trace`], then runs each worker's sub-trace in
+/// worker order on the calling thread, with a fresh policy from
+/// `make_policy`.
+pub(crate) fn run_cluster(
+    catalog: &Catalog,
+    make_policy: &dyn Fn() -> Box<dyn Policy>,
+    trace: &Trace,
+    workers: usize,
+    per_worker: &SimConfig,
+    router: &mut dyn Router,
+) -> ClusterReport {
+    let sub = route_trace(catalog, trace, workers, router);
+    let assigned: Vec<usize> = sub.iter().map(|s| s.len()).collect();
+    let workers = sub
+        .iter()
+        .map(|sub_trace| run(catalog, make_policy().as_mut(), sub_trace, per_worker))
+        .collect();
+    ClusterReport {
+        router: router.name(),
+        workers,
+        assigned,
+    }
+}
+
+/// The §7.2 evaluation setup: the 20-function catalog, an Azure-like
+/// trace, and the 240 GB worker.
 struct Suite {
     catalog: Catalog,
     trace: Trace,
@@ -60,9 +126,14 @@ struct Suite {
 }
 
 impl Suite {
-    fn paper_8h() -> Self {
+    /// The setup on an `hours`-long Azure-like trace (§7.2 uses 8).
+    fn paper_hours(hours: u64) -> Self {
         let catalog = paper_catalog();
-        let trace = azure_like_trace(catalog.len(), &AzureConfig::default());
+        let azure = AzureConfig {
+            hours,
+            ..AzureConfig::default()
+        };
+        let trace = azure_like_trace(catalog.len(), &azure);
         Suite {
             catalog,
             trace,
@@ -110,11 +181,48 @@ impl Suite {
         });
         out
     }
+
+    /// `name`'s cluster report at `shards` shards under the §8
+    /// scheduler, through the streaming pipeline or, with `sequential`,
+    /// through the materialized reference [`run_cluster`].
+    fn cluster(
+        &self,
+        name: &str,
+        shards: usize,
+        config: &SimConfig,
+        sequential: bool,
+    ) -> ClusterReport {
+        let mut router = LocalitySharingLoad::default();
+        let factory = || make_policy(name, &self.catalog);
+        if sequential {
+            return run_cluster(
+                &self.catalog,
+                &factory,
+                &self.trace,
+                shards,
+                config,
+                &mut router,
+            );
+        }
+        run_cluster_streaming(
+            &self.catalog,
+            &factory,
+            self.trace.iter().copied(),
+            self.trace.horizon(),
+            shards,
+            config,
+            &mut router,
+        )
+        .report
+    }
 }
+
+/// Shard counts the cluster oracle tests cover.
+const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 #[test]
 fn full_suite_is_byte_identical_across_backends_and_threads() {
-    let suite = Suite::paper_8h();
+    let suite = Suite::paper_hours(8);
     // The heap backend popping one event at a time, run sequentially,
     // is the behavioural reference.
     let heap = Oracle {
@@ -150,17 +258,80 @@ fn full_suite_is_byte_identical_across_backends_and_threads() {
         reference,
         "heap backend diverged across dispatch modes and thread counts"
     );
-    // And the shipped entry point is the production cell.
+    // And both shipped entry points are the production cell.
     for (name, expected) in POLICIES.iter().zip(&reference) {
         let mut policy = make_policy(name, &suite.catalog);
         let report = run(&suite.catalog, policy.as_mut(), &suite.trace, &suite.config);
         assert_eq!(&report.to_json(), expected, "{name}: run diverged");
+        let mut policy = make_policy(name, &suite.catalog);
+        let (report, profile) = run_streaming_with_profile(
+            &suite.catalog,
+            policy.as_mut(),
+            suite.trace.iter().copied(),
+            suite.trace.horizon(),
+            &suite.config,
+        );
+        assert_eq!(
+            &report.to_json(),
+            expected,
+            "{name}: run_streaming_with_profile diverged"
+        );
+        assert_eq!(profile.invocations, report.invocations() as u64, "{name}");
+        assert!(
+            profile.total_events() >= profile.invocations,
+            "{name}: profiled fewer events than completed invocations"
+        );
+    }
+}
+
+#[test]
+fn full_suite_is_byte_identical_across_shard_counts_and_backends() {
+    // Two paper hours keep the debug-build matrix (6 policies x 4 shard
+    // counts x 2 metrics modes x 2 pipelines) inside CI budget while
+    // every shard still sees thousands of arrivals.
+    let suite = Suite::paper_hours(2);
+    for streaming_metrics in [false, true] {
+        let config = SimConfig {
+            streaming_metrics,
+            ..suite.config.clone()
+        };
+        for name in POLICIES {
+            for shards in SHARD_COUNTS {
+                assert_eq!(
+                    suite.cluster(name, shards, &config, false).to_json(),
+                    suite.cluster(name, shards, &config, true).to_json(),
+                    "{name}: streaming pipeline diverged at {shards} shards \
+                     (streaming_metrics: {streaming_metrics})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn merged_streaming_report_matches_merged_sequential() {
+    // The deterministic cross-shard reduction must also be invariant:
+    // merging the streaming pipeline's per-worker reports gives the
+    // same single-node rollup as merging the sequential pipeline's.
+    let suite = Suite::paper_hours(1);
+    for shards in SHARD_COUNTS {
+        assert_eq!(
+            suite
+                .cluster("RainbowCake", shards, &suite.config, false)
+                .merged()
+                .to_json(),
+            suite
+                .cluster("RainbowCake", shards, &suite.config, true)
+                .merged()
+                .to_json(),
+            "merged reduction diverged at {shards} shards"
+        );
     }
 }
 
 #[test]
 fn lazy_timers_are_byte_identical_to_the_eager_chain() {
-    let suite = Suite::paper_8h();
+    let suite = Suite::paper_hours(8);
     // The eager per-rung chain on the heap backend, one event at a
     // time, is the behavioural reference for the lazy terminal-timer
     // path: every policy — RainbowCake's three-rung ladder above all —
@@ -237,6 +408,57 @@ proptest! {
                 run_oracle(&catalog, &mut policy, &trace, &config, oracle).0.to_json()
             };
             prop_assert_eq!(run_with(false), run_with(true), "heap queue {}", heap_queue);
+        }
+    }
+
+    /// The cluster oracle on arbitrary traces and seeds: the streaming
+    /// pipeline reproduces the materialized sequential reference at every
+    /// shard count, in both metrics modes.
+    #[test]
+    fn cluster_report_is_invariant_to_streaming_at_any_shard_count(
+        raw in prop::collection::vec((0u64..1_800, 0u32..3), 1..120),
+        seed in any::<u64>(),
+        streaming_metrics in any::<bool>(),
+    ) {
+        let catalog = small_catalog();
+        let arrivals: Vec<Arrival> = raw
+            .into_iter()
+            .map(|(s, f)| Arrival {
+                time: Instant::from_micros(s * 1_000_000),
+                function: FunctionId::new(f),
+            })
+            .collect();
+        let trace = Trace::from_arrivals(Micros::from_mins(40), arrivals);
+        let config = SimConfig {
+            seed,
+            streaming_metrics,
+            ..SimConfig::default()
+        };
+        let factory = || -> Box<dyn Policy> {
+            Box::new(RainbowCake::with_defaults(&catalog).unwrap())
+        };
+        for shards in SHARD_COUNTS {
+            let sequential = run_cluster(
+                &catalog,
+                &factory,
+                &trace,
+                shards,
+                &config,
+                &mut LocalitySharingLoad::default(),
+            )
+            .to_json();
+            let streamed = run_cluster_streaming(
+                &catalog,
+                &factory,
+                trace.iter().copied(),
+                trace.horizon(),
+                shards,
+                &config,
+                &mut LocalitySharingLoad::default(),
+            )
+            .report
+            .to_json();
+            prop_assert_eq!(streamed, sequential, "shards = {}", shards);
         }
     }
 }

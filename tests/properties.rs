@@ -520,58 +520,6 @@ proptest! {
     }
 
     #[test]
-    fn cluster_report_is_invariant_to_streaming_at_any_shard_count(
-        raw in prop::collection::vec((0u64..1_800, 0u32..3), 1..120),
-        seed in any::<u64>(),
-        streaming_metrics in any::<bool>(),
-    ) {
-        use rainbowcake::core::policy::Policy;
-        use rainbowcake::sim::cluster::{
-            run_cluster, run_cluster_streaming, LocalitySharingLoad,
-        };
-
-        let catalog = small_catalog();
-        let arrivals: Vec<Arrival> = raw
-            .into_iter()
-            .map(|(s, f)| Arrival {
-                time: Instant::from_micros(s * 1_000_000),
-                function: FunctionId::new(f),
-            })
-            .collect();
-        let trace = Trace::from_arrivals(Micros::from_mins(40), arrivals);
-        let config = SimConfig {
-            seed,
-            streaming_metrics,
-            ..SimConfig::default()
-        };
-        for shards in [1usize, 2, 4, 8] {
-            let mut router = LocalitySharingLoad::default();
-            let mut factory = || -> Box<dyn Policy> {
-                Box::new(RainbowCake::with_defaults(&catalog).unwrap())
-            };
-            let sequential =
-                run_cluster(&catalog, &mut factory, &trace, shards, &config, &mut router)
-                    .to_json();
-            let mut router = LocalitySharingLoad::default();
-            let factory = || -> Box<dyn Policy> {
-                Box::new(RainbowCake::with_defaults(&catalog).unwrap())
-            };
-            let streamed = run_cluster_streaming(
-                &catalog,
-                &factory,
-                trace.iter().copied(),
-                trace.horizon(),
-                shards,
-                &config,
-                &mut router,
-            )
-            .report
-            .to_json();
-            prop_assert_eq!(streamed, sequential, "shards = {}", shards);
-        }
-    }
-
-    #[test]
     fn pool_indices_always_agree_with_linear_scan(
         ops in prop::collection::vec((0u8..7, any::<u64>(), any::<u64>()), 1..80),
     ) {
